@@ -20,7 +20,7 @@ CompactReport compact_journal(const sweep::StudyJournal& journal,
   }
 
   sweep::Dataset::DedupeReport dedupe;
-  sweep::Dataset deduped = combined.deduped(&dedupe);
+  sweep::Dataset deduped = std::move(combined).deduped(&dedupe);
   report.duplicates_dropped = dedupe.duplicates;
   report.replaced = dedupe.replaced;
   report.samples_out = deduped.size();

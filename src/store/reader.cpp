@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "store/format.hpp"
@@ -28,6 +29,15 @@ const char* dict_name(std::size_t dict) {
   return dict < kDictCount ? names[dict] : "unknown";
 }
 
+/// Message for an enum byte outside its range. Kept out of the row
+/// materializer so its per-value check stays small enough to inline.
+std::string enum_out_of_range(const char* what, unsigned value,
+                              std::size_t row, unsigned bound) {
+  return std::string(what) + " value " + std::to_string(value) + " in row " +
+         std::to_string(row) + " is outside [0, " + std::to_string(bound) +
+         ")";
+}
+
 }  // namespace
 
 void StoreReader::corrupt(std::uint64_t offset, const std::string& message) const {
@@ -44,15 +54,26 @@ const unsigned char* StoreReader::at(const Section& section,
   return file_.data() + section.offset + offset;
 }
 
-void StoreReader::verify_section_checksum(const Section& section,
-                                          const char* name) const {
-  const std::uint64_t actual =
-      checksum_bytes(file_.data() + section.offset, section.bytes);
-  if (actual != section.checksum) {
-    corrupt(section.offset, std::string(name) + " section checksum mismatch " +
-                                "(declared at offset " +
-                                std::to_string(section.table_entry_offset + 24) +
-                                ")");
+void StoreReader::verify_checksums(
+    std::initializer_list<SectionKind> kinds) const {
+  std::span<const unsigned char> buffers[kSectionCount];
+  std::uint64_t actual[kSectionCount] = {};
+  std::size_t count = 0;
+  for (const SectionKind kind : kinds) {
+    const Section& section = sections_[static_cast<std::size_t>(kind) - 1];
+    buffers[count++] = {file_.data() + section.offset, section.bytes};
+  }
+  checksum_many({buffers, count}, actual);
+  count = 0;
+  for (const SectionKind kind : kinds) {
+    const std::size_t i = static_cast<std::size_t>(kind) - 1;
+    const Section& section = sections_[i];
+    if (actual[count++] != section.checksum) {
+      corrupt(section.offset,
+              std::string(section_name(i)) + " section checksum mismatch " +
+                  "(declared at offset " +
+                  std::to_string(section.table_entry_offset + 24) + ")");
+    }
   }
 }
 
@@ -215,9 +236,8 @@ StoreReader::StoreReader(const std::string& path, std::uint64_t generation)
       sections_[static_cast<std::size_t>(SectionKind::KeyColumns) - 1];
   const Section& index_section =
       sections_[static_cast<std::size_t>(SectionKind::Index) - 1];
-  verify_section_checksum(dict_section, "dictionaries");
-  verify_section_checksum(key_section, "key-columns");
-  verify_section_checksum(index_section, "index");
+  verify_checksums(
+      {SectionKind::Dictionaries, SectionKind::KeyColumns, SectionKind::Index});
 
   // Dictionaries: six length-prefixed string tables, then zero padding.
   {
@@ -357,7 +377,8 @@ std::uint16_t StoreReader::dict_code(const Section& section,
   return code;
 }
 
-sweep::Sample StoreReader::materialize_row(std::size_t row) const {
+std::size_t StoreReader::materialize_row(std::size_t row,
+                                        sweep::Sample& s) const {
   const std::size_t n = sample_count_;
   const Section& key_section =
       sections_[static_cast<std::size_t>(SectionKind::KeyColumns) - 1];
@@ -373,7 +394,6 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
   const ConfigColumnsLayout cfg = config_columns_layout(n);
   const StatColumnsLayout stats = stat_columns_layout(n);
 
-  sweep::Sample s;
   // Key columns were fully validated at open; load without rechecking.
   s.arch = dicts_[0][load_scalar<std::uint16_t>(at(key_section, keys.arch + 2 * row))];
   s.app = dicts_[1][load_scalar<std::uint16_t>(at(key_section, keys.app + 2 * row))];
@@ -400,9 +420,7 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
     const std::uint8_t value = *at(config_section, offset);
     if (value >= bound) {
       corrupt(config_section.offset + offset,
-              std::string(what) + " value " + std::to_string(value) +
-                  " in row " + std::to_string(row) + " is outside [0, " +
-                  std::to_string(bound) + ")");
+              enum_out_of_range(what, value, row, bound));
     }
     return value;
   };
@@ -442,7 +460,7 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
                 std::to_string(runtime_count) + " runtimes, store holds " +
                 std::to_string(reps_) + " slots per row");
   }
-  s.runtimes.reserve(runtime_count);
+  s.runtimes.resize(runtime_count);
   for (std::uint16_t r = 0; r < runtime_count; ++r) {
     const std::size_t offset = 8 * (row * reps_ + r);
     const double value = load_scalar<double>(at(runtime_section, offset));
@@ -451,10 +469,8 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
               "runtime " + std::to_string(r) + " in row " + std::to_string(row) +
                   " is not finite");
     }
-    s.runtimes.push_back(value);
+    s.runtimes[r] = value;
   }
-  runtime_bytes_touched_.fetch_add(8u * runtime_count,
-                                   std::memory_order_relaxed);
 
   const std::size_t error_offset = 4 * row;
   const auto error_code = load_scalar<std::uint32_t>(at(error_section, error_offset));
@@ -465,19 +481,35 @@ sweep::Sample StoreReader::materialize_row(std::size_t row) const {
                 std::to_string(dicts_[5].size()) + "-entry dictionary");
   }
   s.error = dicts_[5][error_code];
-  return s;
+  return 8u * runtime_count;
 }
 
 sweep::Dataset StoreReader::load(const util::ThreadPool* pool) const {
-  for (std::size_t i = 0; i < kSectionCount; ++i) {
-    verify_section_checksum(sections_[i], section_name(i));
+  verify_checksums({SectionKind::Dictionaries, SectionKind::KeyColumns,
+                    SectionKind::ConfigColumns, SectionKind::StatColumns,
+                    SectionKind::Runtimes, SectionKind::Errors,
+                    SectionKind::Index});
+  std::vector<sweep::Sample> samples;
+  if (pool == nullptr) {
+    // Build each sample in place while its memory is still in cache:
+    // pre-sizing would write the whole vector once, then again per row.
+    samples.reserve(sample_count_);
+    std::uint64_t runtime_bytes = 0;
+    for (std::size_t row = 0; row < sample_count_; ++row) {
+      runtime_bytes += materialize_row(row, samples.emplace_back());
+    }
+    runtime_bytes_touched_.fetch_add(runtime_bytes, std::memory_order_relaxed);
+    return sweep::Dataset(std::move(samples));
   }
-  std::vector<sweep::Sample> samples(sample_count_);
+  samples.resize(sample_count_);
   util::parallel_for(pool, sample_count_, 1024,
                      [&](std::size_t begin, std::size_t end, std::size_t) {
+                       std::uint64_t runtime_bytes = 0;
                        for (std::size_t row = begin; row < end; ++row) {
-                         samples[row] = materialize_row(row);
+                         runtime_bytes += materialize_row(row, samples[row]);
                        }
+                       runtime_bytes_touched_.fetch_add(
+                           runtime_bytes, std::memory_order_relaxed);
                      });
   return sweep::Dataset(std::move(samples));
 }
@@ -488,13 +520,8 @@ void StoreReader::ensure_scan_validated() const {
     // verified at open; scan additionally needs the bulk blocks its slices
     // alias to be trustworthy — in particular the enum bytes SettingSlice
     // casts without per-value range checks.
-    const SectionKind bulk[] = {SectionKind::ConfigColumns,
-                                SectionKind::StatColumns, SectionKind::Runtimes,
-                                SectionKind::Errors};
-    for (const SectionKind kind : bulk) {
-      const std::size_t i = static_cast<std::size_t>(kind) - 1;
-      verify_section_checksum(sections_[i], section_name(i));
-    }
+    verify_checksums({SectionKind::ConfigColumns, SectionKind::StatColumns,
+                      SectionKind::Runtimes, SectionKind::Errors});
     // A checksummed store can still have been *written* with out-of-range
     // codes only by a buggy writer, never by bit rot — but the cost of
     // closing that hole is one linear pass over 7 byte columns, so close it.
@@ -519,9 +546,7 @@ void StoreReader::ensure_scan_validated() const {
         const std::uint8_t value = *at(config_section, col.column + row);
         if (value >= col.bound) {
           corrupt(config_section.offset + col.column + row,
-                  std::string(col.what) + " value " + std::to_string(value) +
-                      " in row " + std::to_string(row) + " is outside [0, " +
-                      std::to_string(col.bound) + ")");
+                  enum_out_of_range(col.what, value, row, col.bound));
         }
       }
     }
@@ -636,7 +661,10 @@ sweep::Dataset StoreReader::query(const StoreQuery& query) const {
     const std::size_t first = static_cast<std::size_t>(run.first_row);
     const std::size_t rows = static_cast<std::size_t>(run.row_count);
     for (std::size_t row = first; row < first + rows; ++row) {
-      out.add(materialize_row(row));
+      sweep::Sample s;
+      runtime_bytes_touched_.fetch_add(materialize_row(row, s),
+                                       std::memory_order_relaxed);
+      out.add(std::move(s));
     }
   }
   return out;

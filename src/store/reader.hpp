@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -39,6 +40,8 @@ class ThreadPool;
 }
 
 namespace omptune::store {
+
+enum class SectionKind : std::uint32_t;  // store/format.hpp
 
 /// Conjunctive row filter over the indexed setting key; unset fields match
 /// everything. An empty query selects the whole store.
@@ -211,8 +214,12 @@ class StoreReader {
 
   [[noreturn]] void corrupt(std::uint64_t offset, const std::string& message) const;
   const unsigned char* at(const Section& section, std::size_t offset) const;
-  void verify_section_checksum(const Section& section, const char* name) const;
-  sweep::Sample materialize_row(std::size_t row) const;
+  /// Checksum the `kinds` sections together; throws for the first (in
+  /// `kinds` order) whose digest does not match its table entry.
+  void verify_checksums(std::initializer_list<SectionKind> kinds) const;
+  /// Fill `s` (default-constructed) from row `row`; returns the runtime
+  /// bytes read, for runtime_bytes_touched().
+  std::size_t materialize_row(std::size_t row, sweep::Sample& s) const;
   std::uint16_t dict_code(const Section& key_section, std::size_t column_offset,
                           std::size_t row, std::size_t dict, const char* what) const;
 

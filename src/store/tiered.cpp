@@ -123,7 +123,7 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
         }
       }
       sweep::Dataset::DedupeReport dedupe;
-      sweep::Dataset deduped = combined.deduped(&dedupe);
+      sweep::Dataset deduped = std::move(combined).deduped(&dedupe);
       report.duplicates_dropped += dedupe.duplicates;
       report.replaced += dedupe.replaced;
       write_store(inter_path, deduped);

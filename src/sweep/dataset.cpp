@@ -1,37 +1,238 @@
 #include "sweep/dataset.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/errors.hpp"
+#include "util/mmap_file.hpp"
 #include "util/strings.hpp"
 
 namespace omptune::sweep {
 
 namespace {
 
-std::string blocktime_to_string(std::int64_t ms) {
-  return ms == rt::kBlocktimeInfinite ? "infinite" : std::to_string(ms);
+/// Columns of the open-data CSV schema ahead of the runtime_N block.
+enum Col : std::size_t {
+  kArch, kApp, kSuite, kKind, kInput, kThreads, kPlaces, kProcBind, kSchedule,
+  kLibrary, kBlocktime, kReduction, kAlign, kMeanRuntime, kDefaultRuntime,
+  kSpeedup, kIsDefault, kStatus, kAttempts, kError, kColumnCount
+};
+
+constexpr std::array<std::string_view, kColumnCount> kColumns = {
+    "arch",      "app",       "suite",        "kind",
+    "input",     "threads",   "places",       "proc_bind",
+    "schedule",  "library",   "blocktime",    "reduction",
+    "align",     "mean_runtime", "default_runtime", "speedup",
+    "is_default", "status",   "attempts",     "error"};
+
+constexpr std::string_view kRuntimePrefix = "runtime_";
+
+std::string runtime_column(std::size_t r) {
+  return std::string(kRuntimePrefix) + std::to_string(r);
 }
 
-std::int64_t blocktime_from_string(const std::string& text) {
-  if (text == "infinite") return rt::kBlocktimeInfinite;
-  const auto value = util::parse_int(text);
-  if (!value) throw std::invalid_argument("bad blocktime '" + text + "'");
-  return *value;
+/// Repetition columns a dataset's CSV carries: the longest runtime list.
+std::size_t repetition_count(const std::vector<Sample>& samples) {
+  std::size_t reps = 0;
+  for (const Sample& s : samples) reps = std::max(reps, s.runtimes.size());
+  return reps;
 }
 
-/// Numeric field that must be finite (runtime/speedup columns).
-double finite_cell(const util::CsvTable& table, std::size_t row,
-                   const std::string& col) {
-  const double value = table.cell_as_double(row, col);
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument("column '" + col + "' has non-finite value '" +
-                                table.cell(row, col) + "'");
+// ---- the one encoder --------------------------------------------------------
+
+template <typename Field>
+void encode_header(std::size_t reps, Field&& field) {
+  for (const std::string_view name : kColumns) field(name);
+  for (std::size_t r = 0; r < reps; ++r) field(runtime_column(r));
+}
+
+/// Hands `field` every cell of `s` in column order. Numbers are formatted
+/// into a stack buffer, so a cell never costs an allocation.
+template <typename Field>
+void encode_row(const Sample& s, std::size_t reps, Field&& field) {
+  char buf[util::fixed_double_chars(9)];
+  const auto integer = [&](std::int64_t value) {
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    field(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  };
+  const auto fixed = [&](double value, int precision) {
+    const char* end = util::write_fixed_double(buf, value, precision);
+    field(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  };
+  field(s.arch);
+  field(s.app);
+  field(s.suite);
+  field(s.kind);
+  field(s.input);
+  integer(s.threads);
+  field(arch::to_string(s.config.places));
+  field(arch::to_string(s.config.bind));
+  field(rt::to_string(s.config.schedule));
+  field(rt::to_string(s.config.library));
+  if (s.config.blocktime_ms == rt::kBlocktimeInfinite) {
+    field("infinite");
+  } else {
+    integer(s.config.blocktime_ms);
   }
-  return value;
+  field(rt::to_string(s.config.reduction));
+  integer(s.config.align_alloc);
+  fixed(s.mean_runtime, 9);
+  fixed(s.default_runtime, 9);
+  fixed(s.speedup, 6);
+  field(s.is_default ? "1" : "0");
+  field(to_string(s.status));
+  integer(s.attempts);
+  field(s.error);
+  for (std::size_t r = 0; r < reps; ++r) {
+    if (r < s.runtimes.size()) {
+      fixed(s.runtimes[r], 9);
+    } else {
+      field("0");
+    }
+  }
+}
+
+// ---- the one decoder --------------------------------------------------------
+
+using Fields = std::vector<std::string_view>;
+
+/// Decodes data rows against a header whose column indices it resolves
+/// once. Columns may come in any order; the status/attempts/error columns
+/// are optional (datasets written before the resilience layer lack them).
+class RowDecoder {
+ public:
+  /// Throws util::DataCorruptionError if the runtime_N block is garbled.
+  RowDecoder(const Fields& header, const std::string& label) : label_(label) {
+    col_.fill(kAbsent);
+    for (std::size_t c = header.size(); c-- > 0;) {
+      const auto known = std::find(kColumns.begin(), kColumns.end(), header[c]);
+      if (known != kColumns.end()) col_[known - kColumns.begin()] = c;
+    }
+    // Repetition columns are the trailing runtime_N columns. The block must
+    // be exactly runtime_0..runtime_{k-1}, contiguous, at the end of the
+    // header: a garbled column name used to silently shrink the block and
+    // every row lost a repetition without any error (the short-read path)
+    // — now the whole file is rejected as corrupt instead.
+    std::size_t found = 0;
+    for (std::size_t c = 0; c < header.size(); ++c) {
+      if (!util::starts_with(header[c], kRuntimePrefix)) continue;
+      if (found++ == 0) first_rep_ = c;
+    }
+    if (found == 0) return;
+    if (first_rep_ + found != header.size()) {
+      throw util::DataCorruptionError(
+          label + ": runtime column block is not contiguous at the end of "
+                  "the header (a repetition column would be silently dropped)");
+    }
+    for (std::size_t r = 0; r < found; ++r) {
+      rep_names_.push_back(runtime_column(r));
+      if (header[first_rep_ + r] != rep_names_.back()) {
+        throw util::DataCorruptionError(
+            label + ": runtime column " + std::to_string(r) + " is named '" +
+            std::string(header[first_rep_ + r]) + "', expected '" +
+            rep_names_.back() + "'");
+      }
+    }
+  }
+
+  /// Decodes one data row; `row` is its 1-based number. Every failure is a
+  /// util::DataCorruptionError naming the source and the row.
+  Sample decode(const Fields& fields, std::size_t row) const {
+    try {
+      return decode_unchecked(fields);
+    } catch (const std::exception& error) {
+      throw util::DataCorruptionError(label_ + " row " + std::to_string(row) +
+                                      ": " + error.what());
+    }
+  }
+
+ private:
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  Sample decode_unchecked(const Fields& f) const {
+    const auto text = [&](Col c) -> std::string_view {
+      if (col_[c] == kAbsent) {
+        throw std::out_of_range("no column named '" +
+                                std::string(kColumns[c]) + "'");
+      }
+      return f[col_[c]];
+    };
+    const auto present = [&](Col c) { return col_[c] != kAbsent; };
+    const auto number = [](std::string_view cell, std::string_view column) {
+      const auto value = util::parse_double(cell);
+      if (!value) {
+        throw std::invalid_argument("cell '" + std::string(cell) +
+                                    "' in column '" + std::string(column) +
+                                    "' is not numeric");
+      }
+      return *value;
+    };
+    // Runtime/speedup fields must be finite.
+    const auto finite = [&](std::string_view cell, std::string_view column) {
+      const double value = number(cell, column);
+      if (!std::isfinite(value)) {
+        throw std::invalid_argument("column '" + std::string(column) +
+                                    "' has non-finite value '" +
+                                    std::string(cell) + "'");
+      }
+      return value;
+    };
+    const auto numeric = [&](Col c) { return number(text(c), kColumns[c]); };
+
+    Sample s;
+    s.arch = text(kArch);
+    s.app = text(kApp);
+    s.suite = text(kSuite);
+    s.kind = text(kKind);
+    s.input = text(kInput);
+    s.threads = static_cast<int>(numeric(kThreads));
+    s.config.num_threads = s.threads;
+    s.config.places = arch::places_from_string(std::string(text(kPlaces)));
+    s.config.bind = arch::bind_from_string(std::string(text(kProcBind)));
+    s.config.schedule = rt::schedule_from_string(std::string(text(kSchedule)));
+    s.config.library = rt::library_from_string(std::string(text(kLibrary)));
+    s.config.blocktime_ms = blocktime_from_string(text(kBlocktime));
+    s.config.reduction =
+        rt::reduction_from_string(std::string(text(kReduction)));
+    s.config.align_alloc = static_cast<int>(numeric(kAlign));
+    s.mean_runtime = finite(text(kMeanRuntime), kColumns[kMeanRuntime]);
+    s.default_runtime = finite(text(kDefaultRuntime), kColumns[kDefaultRuntime]);
+    s.speedup = finite(text(kSpeedup), kColumns[kSpeedup]);
+    s.is_default = text(kIsDefault) == "1";
+    if (present(kStatus)) {
+      s.status = sample_status_from_string(std::string(text(kStatus)));
+    }
+    if (present(kAttempts)) s.attempts = static_cast<int>(numeric(kAttempts));
+    if (present(kError)) s.error = text(kError);
+    s.runtimes.reserve(rep_names_.size());
+    for (std::size_t r = 0; r < rep_names_.size(); ++r) {
+      s.runtimes.push_back(finite(f[first_rep_ + r], rep_names_[r]));
+    }
+    return s;
+  }
+
+  static std::int64_t blocktime_from_string(std::string_view text) {
+    if (text == "infinite") return rt::kBlocktimeInfinite;
+    const auto value = util::parse_int(text);
+    if (!value) {
+      throw std::invalid_argument("bad blocktime '" + std::string(text) + "'");
+    }
+    return *value;
+  }
+
+  std::array<std::size_t, kColumnCount> col_{};
+  std::size_t first_rep_ = 0;
+  std::vector<std::string> rep_names_;  ///< runtime_0 .. runtime_{k-1}
+  std::string label_;
+};
+
+std::string source_label(const std::string& source) {
+  return source.empty() ? std::string("<dataset>") : source;
 }
 
 }  // namespace
@@ -67,30 +268,46 @@ std::string sample_identity(const Sample& sample) {
 }
 
 void Dataset::append(Dataset other) {
-  samples_.reserve(samples_.size() + other.samples_.size());
-  for (Sample& s : other.samples_) samples_.push_back(std::move(s));
+  if (samples_.empty()) {
+    samples_ = std::move(other.samples_);
+    return;
+  }
+  // A range insert grows the capacity geometrically. Never reserve the exact
+  // sum here: a loop of appends would then move the whole dataset each call.
+  samples_.insert(samples_.end(),
+                  std::make_move_iterator(other.samples_.begin()),
+                  std::make_move_iterator(other.samples_.end()));
 }
 
-Dataset Dataset::deduped(DedupeReport* report) const {
+Dataset Dataset::deduped(DedupeReport* report) const& {
+  return Dataset(*this).deduped(report);
+}
+
+Dataset Dataset::deduped(DedupeReport* report) && {
   if (report) *report = DedupeReport{};
-  Dataset out;
-  std::map<std::string, std::size_t> first_position;  // identity -> out index
-  for (const Sample& s : samples_) {
-    const std::string identity = sample_identity(s);
+  // Compacts in place: a kept sample only ever moves to an earlier slot, so
+  // the first-appearance order survives without a second vector.
+  std::unordered_map<std::string, std::size_t> first_position;  // -> index
+  first_position.reserve(samples_.size());
+  std::size_t kept_count = 0;
+  for (Sample& s : samples_) {
     const auto [it, inserted] =
-        first_position.emplace(identity, out.samples_.size());
+        first_position.try_emplace(sample_identity(s), kept_count);
     if (inserted) {
-      out.add(s);
+      Sample& slot = samples_[kept_count++];
+      if (&slot != &s) slot = std::move(s);
       continue;
     }
     if (report) ++report->duplicates;
-    Sample& kept = out.samples_[it->second];
+    Sample& kept = samples_[it->second];
     if (status_preference(s.status) < status_preference(kept.status)) {
-      kept = s;
+      kept = std::move(s);
       if (report) ++report->replaced;
     }
   }
-  return out;
+  samples_.erase(samples_.begin() + static_cast<std::ptrdiff_t>(kept_count),
+                 samples_.end());
+  return std::move(*this);
 }
 
 std::size_t Dataset::quarantined_count() const {
@@ -99,138 +316,101 @@ std::size_t Dataset::quarantined_count() const {
                     [](const Sample& s) { return s.is_quarantined(); }));
 }
 
-util::CsvTable Dataset::to_csv() const {
-  // Fixed repetition count across a dataset.
-  std::size_t reps = 0;
-  for (const Sample& s : samples_) reps = std::max(reps, s.runtimes.size());
-
-  std::vector<std::string> header = {
-      "arch",   "app",      "suite",     "kind",      "input",
-      "threads", "places",  "proc_bind", "schedule",  "library",
-      "blocktime", "reduction", "align", "mean_runtime", "default_runtime",
-      "speedup", "is_default", "status", "attempts", "error"};
-  for (std::size_t r = 0; r < reps; ++r) {
-    header.push_back("runtime_" + std::to_string(r));
-  }
-
-  util::CsvTable table(std::move(header));
+std::string Dataset::csv_text() const {
+  const std::size_t reps = repetition_count(samples_);
+  std::string out;
+  bool first = true;
+  const auto field = [&](std::string_view cell) {
+    if (!first) out.push_back(',');
+    first = false;
+    util::csv_append_field(out, cell);
+  };
+  encode_header(reps, field);
+  out.push_back('\n');
   for (const Sample& s : samples_) {
-    std::vector<std::string> row = {
-        s.arch,
-        s.app,
-        s.suite,
-        s.kind,
-        s.input,
-        std::to_string(s.threads),
-        arch::to_string(s.config.places),
-        arch::to_string(s.config.bind),
-        rt::to_string(s.config.schedule),
-        rt::to_string(s.config.library),
-        blocktime_to_string(s.config.blocktime_ms),
-        rt::to_string(s.config.reduction),
-        std::to_string(s.config.align_alloc),
-        util::format_double(s.mean_runtime, 9),
-        util::format_double(s.default_runtime, 9),
-        util::format_double(s.speedup, 6),
-        s.is_default ? "1" : "0",
-        to_string(s.status),
-        std::to_string(s.attempts),
-        s.error,
-    };
-    for (std::size_t r = 0; r < reps; ++r) {
-      row.push_back(r < s.runtimes.size()
-                        ? util::format_double(s.runtimes[r], 9)
-                        : std::string("0"));
-    }
-    table.add_row(std::move(row));
+    first = true;
+    encode_row(s, reps, field);
+    out.push_back('\n');
+  }
+  return out;
+}
+
+util::CsvTable Dataset::to_csv() const {
+  const std::size_t reps = repetition_count(samples_);
+  std::vector<std::string> cells;
+  const auto field = [&cells](std::string_view cell) { cells.emplace_back(cell); };
+  encode_header(reps, field);
+  util::CsvTable table(std::move(cells));
+  for (const Sample& s : samples_) {
+    cells.clear();
+    encode_row(s, reps, field);
+    table.add_row(std::move(cells));
   }
   return table;
 }
 
+Dataset Dataset::from_csv_text(std::string_view text, const std::string& source) {
+  const std::string label = source_label(source);
+  if (text.empty()) throw util::DataCorruptionError(label + ": empty input");
+
+  std::size_t pos = 0;
+  const auto next_line = [&text, &pos] {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    return line;
+  };
+  std::string scratch;
+  Fields fields;
+  if (!util::csv_split_view(next_line(), scratch, fields)) {
+    throw util::DataCorruptionError(label + ": header: unterminated quote");
+  }
+  const std::size_t width = fields.size();
+  const RowDecoder decoder(fields, label);
+  Dataset out;
+  std::size_t row = 0;
+  while (pos < text.size()) {
+    const std::string_view line = next_line();
+    if (line.empty()) continue;
+    ++row;
+    if (!util::csv_split_view(line, scratch, fields)) {
+      throw util::DataCorruptionError(label + " row " + std::to_string(row) +
+                                      ": unterminated quote");
+    }
+    if (fields.size() != width) {
+      throw util::DataCorruptionError(
+          label + " row " + std::to_string(row) + ": expected " +
+          std::to_string(width) + " cells, got " +
+          std::to_string(fields.size()));
+    }
+    out.add(decoder.decode(fields, row));
+  }
+  return out;
+}
+
 Dataset Dataset::from_csv(const util::CsvTable& table,
                           const std::string& source) {
+  const Fields header(table.header().begin(), table.header().end());
+  const RowDecoder decoder(header, source_label(source));
   Dataset out;
-  const auto has_col = [&table](const std::string& name) {
-    const auto& header = table.header();
-    return std::find(header.begin(), header.end(), name) != header.end();
-  };
-  // Datasets written before the resilience layer lack the status columns;
-  // default those to a clean first-try measurement.
-  const bool has_status = has_col("status");
-  const bool has_attempts = has_col("attempts");
-  const bool has_error = has_col("error");
-
-  // Repetition columns are the trailing runtime_N columns. The block must be
-  // exactly runtime_0..runtime_{k-1}, contiguous, at the end of the header:
-  // a garbled column name used to silently shrink the block and every row
-  // lost a repetition without any error (the short-read path) — now the
-  // whole file is rejected as corrupt instead.
-  const std::string label =
-      source.empty() ? std::string("<dataset>") : source;
-  std::vector<std::size_t> rep_cols;
-  for (std::size_t c = 0; c < table.header().size(); ++c) {
-    if (util::starts_with(table.header()[c], "runtime_")) rep_cols.push_back(c);
-  }
-  if (!rep_cols.empty()) {
-    const std::size_t first = rep_cols.front();
-    if (first + rep_cols.size() != table.header().size()) {
-      throw util::DataCorruptionError(
-          label + ": runtime column block is not contiguous at the end of "
-                  "the header (a repetition column would be silently dropped)");
-    }
-    for (std::size_t r = 0; r < rep_cols.size(); ++r) {
-      const std::string expected = "runtime_" + std::to_string(r);
-      if (table.header()[first + r] != expected) {
-        throw util::DataCorruptionError(
-            label + ": runtime column " + std::to_string(r) + " is named '" +
-            table.header()[first + r] + "', expected '" + expected + "'");
-      }
-    }
-  }
+  out.reserve(table.num_rows());
+  Fields fields;
   for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    try {
-      Sample s;
-      s.arch = table.cell(i, "arch");
-      s.app = table.cell(i, "app");
-      s.suite = table.cell(i, "suite");
-      s.kind = table.cell(i, "kind");
-      s.input = table.cell(i, "input");
-      s.threads = static_cast<int>(table.cell_as_double(i, "threads"));
-      s.config.num_threads = s.threads;
-      s.config.places = arch::places_from_string(table.cell(i, "places"));
-      s.config.bind = arch::bind_from_string(table.cell(i, "proc_bind"));
-      s.config.schedule = rt::schedule_from_string(table.cell(i, "schedule"));
-      s.config.library = rt::library_from_string(table.cell(i, "library"));
-      s.config.blocktime_ms = blocktime_from_string(table.cell(i, "blocktime"));
-      s.config.reduction = rt::reduction_from_string(table.cell(i, "reduction"));
-      s.config.align_alloc = static_cast<int>(table.cell_as_double(i, "align"));
-      s.mean_runtime = finite_cell(table, i, "mean_runtime");
-      s.default_runtime = finite_cell(table, i, "default_runtime");
-      s.speedup = finite_cell(table, i, "speedup");
-      s.is_default = table.cell(i, "is_default") == "1";
-      s.status = has_status ? sample_status_from_string(table.cell(i, "status"))
-                            : SampleStatus::Ok;
-      s.attempts = has_attempts
-                       ? static_cast<int>(table.cell_as_double(i, "attempts"))
-                       : 1;
-      s.error = has_error ? table.cell(i, "error") : std::string();
-      for (const std::size_t c : rep_cols) {
-        s.runtimes.push_back(finite_cell(table, i, table.header()[c]));
-      }
-      out.add(std::move(s));
-    } catch (const util::DataCorruptionError&) {
-      throw;
-    } catch (const std::exception& error) {
-      throw util::DataCorruptionError(label + " row " + std::to_string(i + 1) +
-                                      ": " + error.what());
-    }
+    fields.assign(table.row(i).begin(), table.row(i).end());
+    out.add(decoder.decode(fields, i + 1));
   }
   return out;
 }
 
 Dataset Dataset::load_csv_file(const std::string& path) {
   try {
-    return from_csv(util::CsvTable::read_file(path), path);
+    // A buffered read, not a mapping: a file shrunk underneath a mapping
+    // raises SIGBUS instead of a typed error.
+    const util::MappedFile file(path, util::MappedFile::Mode::ForceBuffered);
+    return from_csv_text(
+        std::string_view(reinterpret_cast<const char*>(file.data()),
+                         file.size()),
+        path);
   } catch (const util::DataCorruptionError&) {
     throw;
   } catch (const std::exception& error) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rt/config.hpp"
@@ -72,6 +73,8 @@ class Dataset {
       : samples_(std::move(samples)) {}
 
   void add(Sample sample) { samples_.push_back(std::move(sample)); }
+  /// Move `other`'s samples onto the end. Capacity grows geometrically, so
+  /// a loop of appends moves each sample O(1) times amortised.
   void append(Dataset other);
   void reserve(std::size_t n) { samples_.reserve(n); }
 
@@ -121,17 +124,27 @@ class Dataset {
   /// best-status occurrence (Ok over Retried over Quarantined; first wins on
   /// ties) at the position of the identity's first appearance. Used by the
   /// shard merger and the journal compactor, where overlapping collection
-  /// legitimately produces the same measurement more than once.
-  Dataset deduped(DedupeReport* report = nullptr) const;
+  /// legitimately produces the same measurement more than once. The rvalue
+  /// form compacts in place and moves the kept samples.
+  Dataset deduped(DedupeReport* report = nullptr) const&;
+  Dataset deduped(DedupeReport* report = nullptr) &&;
 
   /// Serialize to the open-data CSV schema (one row per sample, one column
-  /// per variable plus all repetition runtimes).
+  /// per variable plus all repetition runtimes; rows with fewer runtimes
+  /// are padded with "0"). Streams every row straight into the text.
+  std::string csv_text() const;
+
+  /// The same CSV as cells, for callers that inspect or edit them.
   util::CsvTable to_csv() const;
 
-  /// Parse a dataset back from its CSV form. `source` names the origin
+  /// Parse a dataset back from its CSV text. `source` names the origin
   /// (file name) for error messages. Malformed rows raise
   /// util::DataCorruptionError carrying `source` and the 1-based data row
   /// number; non-finite runtime/speedup fields are rejected the same way.
+  static Dataset from_csv_text(std::string_view text,
+                               const std::string& source = "");
+
+  /// from_csv_text over already-split cells.
   static Dataset from_csv(const util::CsvTable& table,
                           const std::string& source = "");
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <sstream>
 
 #include "util/errors.hpp"
 #include "util/fs.hpp"
@@ -51,9 +50,7 @@ bool StudyJournal::contains(const std::string& key) const {
 }
 
 void StudyJournal::record(const std::string& key, const Dataset& dataset) const {
-  std::ostringstream os;
-  dataset.to_csv().write(os);
-  util::atomic_write_file(entry_path(key), os.str());
+  util::atomic_write_file(entry_path(key), dataset.csv_text());
 }
 
 Dataset StudyJournal::load(const std::string& key,
@@ -88,7 +85,7 @@ void StudyJournal::adopt(const StudyJournal& other, const std::string& key) cons
   // but a quarantined placeholder must never shadow a clean recollection.
   Dataset combined = load(key);
   combined.append(other.load(key));
-  record(key, combined.deduped());
+  record(key, std::move(combined).deduped());
   other.discard(key);
 }
 

@@ -80,54 +80,82 @@ CsvTable CsvTable::read_file(const std::string& path) {
 }
 
 std::string csv_quote(std::string_view field) {
-  const bool needs_quoting =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quoting) return std::string(field);
   std::string out;
-  out.reserve(field.size() + 2);
+  csv_append_field(out, field);
+  return out;
+}
+
+void csv_append_field(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out.append(field);
+    return;
+  }
   out.push_back('"');
   for (const char c : field) {
     if (c == '"') out.push_back('"');
     out.push_back(c);
   }
   out.push_back('"');
-  return out;
+}
+
+bool csv_split_view(std::string_view line, std::string& scratch,
+                    std::vector<std::string_view>& fields) {
+  // Strip a trailing CR from CRLF input.
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  fields.clear();
+  scratch.clear();
+  // Unescaping only ever drops characters, so one line's worth of capacity
+  // holds every quoted field of the line without a reallocation.
+  if (line.find('"') != std::string_view::npos) scratch.reserve(line.size());
+
+  std::size_t begin = 0;
+  for (;;) {
+    // Every quote toggles the state ("" inside quotes leaves and re-enters),
+    // so the first comma seen outside quotes ends the field.
+    std::size_t end = begin;
+    bool in_quotes = false;
+    bool quoted = false;
+    for (; end < line.size(); ++end) {
+      const char c = line[end];
+      if (c == '"') {
+        in_quotes = !in_quotes;
+        quoted = true;
+      } else if (c == ',' && !in_quotes) {
+        break;
+      }
+    }
+    if (in_quotes) return false;
+    const std::string_view raw = line.substr(begin, end - begin);
+    if (!quoted) {
+      fields.push_back(raw);
+    } else {
+      const std::size_t at = scratch.size();
+      bool inside = false;
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        const char c = raw[i];
+        if (c != '"') {
+          scratch.push_back(c);
+        } else if (inside && i + 1 < raw.size() && raw[i + 1] == '"') {
+          scratch.push_back('"');
+          ++i;
+        } else {
+          inside = !inside;
+        }
+      }
+      fields.emplace_back(scratch.data() + at, scratch.size() - at);
+    }
+    if (end == line.size()) return true;
+    begin = end + 1;
+  }
 }
 
 std::vector<std::string> csv_split_line(std::string_view line) {
-  // Strip a trailing CR from CRLF input.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (in_quotes) {
+  std::string scratch;
+  std::vector<std::string_view> views;
+  if (!csv_split_view(line, scratch, views)) {
     throw std::runtime_error("csv_split_line: unterminated quote");
   }
-  fields.push_back(std::move(current));
-  return fields;
+  return {views.begin(), views.end()};
 }
 
 }  // namespace omptune::util

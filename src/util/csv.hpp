@@ -56,6 +56,18 @@ class CsvTable {
 /// Quote a single CSV field if it contains separators, quotes or newlines.
 std::string csv_quote(std::string_view field);
 
+/// Append `field` to `out`, quoted exactly as csv_quote would, without an
+/// intermediate string.
+void csv_append_field(std::string& out, std::string_view field);
+
+/// Split one CSV line honouring quotes (one trailing CR is dropped) into
+/// `fields`. Fields without quotes are views into `line`; quoted fields are
+/// unescaped into `scratch`, which is reset per line and never outgrows its
+/// reservation, so every view stays valid until the next call. Returns false
+/// on an unterminated quote.
+bool csv_split_view(std::string_view line, std::string& scratch,
+                    std::vector<std::string_view>& fields);
+
 /// Split one CSV line honouring quotes. Throws on unterminated quotes.
 std::vector<std::string> csv_split_line(std::string_view line);
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 namespace omptune::util {
 
@@ -74,10 +73,21 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
   return out;
 }
 
+char* write_fixed_double(char* first, double value, int precision) {
+  if (precision < 0) precision = 6;
+  // to_chars renders fixed notation exactly as printf does in the C locale
+  // (round-half-even on the exact binary value, "inf"/"nan" spellings), so
+  // the only difference from snprintf is that nothing is ever cut short.
+  char* const last = first + fixed_double_chars(precision);
+  return std::to_chars(first, last, value, std::chars_format::fixed, precision)
+      .ptr;
+}
+
 std::string format_double(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
+  std::string out(fixed_double_chars(precision), '\0');
+  out.resize(static_cast<std::size_t>(
+      write_fixed_double(out.data(), value, precision) - out.data()));
+  return out;
 }
 
 bool starts_with(std::string_view text, std::string_view prefix) {

@@ -3,6 +3,7 @@
 // Small string utilities used across the library. All functions are pure and
 // allocation behaviour is explicit in the signatures.
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,7 +32,19 @@ std::optional<double> parse_double(std::string_view text);
 /// Join items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 
-/// printf-style double formatting with fixed precision.
+/// Characters printf("%.*f") needs for any double at `precision`: a sign,
+/// up to 309 integer digits, the point and the fraction digits (a negative
+/// precision means printf's default of 6).
+constexpr std::size_t fixed_double_chars(int precision) {
+  return 311 + static_cast<std::size_t>(precision < 0 ? 6 : precision);
+}
+
+/// Writes `value` exactly as printf("%.*f", precision, value) would into
+/// `first`, which must hold fixed_double_chars(precision) characters, and
+/// returns the end of the text (no terminator is written).
+char* write_fixed_double(char* first, double value, int precision);
+
+/// printf-style double formatting with fixed precision; never truncates.
 std::string format_double(double value, int precision);
 
 /// True if `text` starts with `prefix`.

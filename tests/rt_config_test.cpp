@@ -259,6 +259,33 @@ TEST(RtConfigKey, DistinctConfigsHaveDistinctKeys) {
   EXPECT_NE(b.key().find("blocktime=infinite"), std::string::npos);
 }
 
+TEST(RtConfigKey, SpellingIsPinned) {
+  // Keys seed every setting's RNG and identify every stored sample, so a
+  // changed byte changes every dataset and journal.
+  RtConfig full;
+  full.num_threads = 48;
+  full.places = arch::PlacesKind::Cores;
+  full.bind = arch::BindKind::Close;
+  full.schedule = ScheduleKind::Dynamic;
+  full.chunk = 4;
+  full.library = LibraryMode::Turnaround;
+  full.blocktime_ms = kBlocktimeInfinite;
+  full.reduction = ReductionMethod::Tree;
+  full.align_alloc = 128;
+  full.barrier = BarrierKind::Hybrid;
+  EXPECT_EQ(full.key(),
+            "threads=48;places=cores;bind=close;schedule=dynamic,4;"
+            "library=turnaround;blocktime=infinite;reduction=tree;align=128;"
+            "barrier=hybrid");
+  RtConfig unset;
+  unset.num_threads = -1;
+  unset.blocktime_ms = 0;
+  unset.align_alloc = -5;
+  EXPECT_EQ(unset.key(),
+            "threads=default;places=unset;bind=unset;schedule=static;"
+            "library=throughput;blocktime=0;reduction=unset;align=default");
+}
+
 TEST(RtConfigBarrier, ParsesKmpBarrierPattern) {
   const auto clean = clean_env();
   const auto& cpu = architecture(ArchId::Skylake);

@@ -16,8 +16,10 @@
 #include <cstring>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "analysis/recommend.hpp"
 #include "core/tuner.hpp"
@@ -32,6 +34,7 @@
 #include "util/fs.hpp"
 #include "util/process.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace omptune {
 namespace {
@@ -104,6 +107,59 @@ TEST(Store, RoundTripIsBitFaithful) {
     expect_samples_equal(loaded.samples()[i], original.samples()[i]);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Store, PooledLoadEqualsSequentialLoad) {
+  // load() builds rows one after another without a pool and fills a
+  // pre-sized vector by index with one; both must give the same dataset
+  // and count the same runtime bytes.
+  const sweep::Dataset original = sample_dataset();
+  const std::string dir = temp_dir("pooled");
+  const std::string path = util::path_join(dir, "d.omps");
+  original.save_store(path);
+
+  const store::StoreReader sequential_reader(path);
+  const store::StoreReader pooled_reader(path);
+  const util::ThreadPool pool(4);
+  const sweep::Dataset sequential = sequential_reader.load();
+  const sweep::Dataset pooled = pooled_reader.load(&pool);
+
+  ASSERT_EQ(sequential.size(), original.size());
+  ASSERT_EQ(pooled.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    expect_samples_equal(sequential.samples()[i], original.samples()[i]);
+    expect_samples_equal(pooled.samples()[i], original.samples()[i]);
+  }
+  EXPECT_EQ(sequential_reader.runtime_bytes_touched(),
+            pooled_reader.runtime_bytes_touched());
+  EXPECT_GT(sequential_reader.runtime_bytes_touched(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreFormat, ChecksumManyEqualsChecksumBytes) {
+  // The stepped-together digests must equal the one-buffer definition for
+  // any mix of lengths: equal, empty, shorter than a word, ragged tails,
+  // and more buffers than one group of four.
+  util::Xoshiro256 rng(5);
+  std::vector<unsigned char> bytes(4096);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next());
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t count = 1 + rng.uniform_index(9);
+    std::vector<std::span<const unsigned char>> buffers;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t size =
+          trial % 5 == 0 ? 64 : rng.uniform_index(trial % 2 == 0 ? 20 : 600);
+      const std::size_t at = rng.uniform_index(bytes.size() - size + 1);
+      buffers.emplace_back(bytes.data() + at, size);
+    }
+    std::vector<std::uint64_t> digests(count);
+    store::checksum_many(buffers, digests.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(digests[i],
+                store::checksum_bytes(buffers[i].data(), buffers[i].size()))
+          << "trial " << trial << " buffer " << i << " of " << count;
+    }
+  }
 }
 
 TEST(Store, CsvStoreCsvProducesIdenticalText) {

@@ -214,6 +214,60 @@ TEST(Dataset, CsvRoundTrip) {
   }
 }
 
+TEST(Dataset, AppendGrowsGeometrically) {
+  // Appending one batch per setting is how run_study, the supervisor and
+  // the compactor assemble a dataset. Each reallocation moves every sample
+  // collected so far, so their number must stay logarithmic in the size.
+  constexpr int kBatches = 10000;
+  Dataset dataset;
+  const Sample* buffer = nullptr;
+  int buffers = 0;
+  for (int i = 0; i < kBatches; ++i) {
+    Dataset batch;
+    Sample s;
+    s.threads = i;
+    batch.add(std::move(s));
+    dataset.append(std::move(batch));
+    if (dataset.samples().data() != buffer) {
+      buffer = dataset.samples().data();
+      ++buffers;
+    }
+  }
+  ASSERT_EQ(dataset.size(), static_cast<std::size_t>(kBatches));
+  EXPECT_LE(buffers, 40);
+  for (int i = 0; i < kBatches; ++i) {
+    ASSERT_EQ(dataset.samples()[static_cast<std::size_t>(i)].threads, i);
+  }
+}
+
+TEST(Dataset, DedupeKeepsFirstAppearanceAndBestStatus) {
+  Sample a;
+  a.arch = "milan";
+  a.app = "cg";
+  a.runtimes = {1.0};
+  Sample b = a;
+  b.app = "ep";
+  b.status = SampleStatus::Quarantined;
+  Sample a_again = a;  // equal status: the first occurrence stays
+  a_again.runtimes = {2.0};
+  Sample b_clean = b;  // better status: replaces b in b's slot
+  b_clean.status = SampleStatus::Retried;
+  Dataset dataset(std::vector<Sample>{a, a_again, b, b_clean});
+
+  Dataset::DedupeReport report;
+  const Dataset copy = dataset.deduped(&report);
+  const Dataset moved = std::move(dataset).deduped();
+  for (const Dataset* d : {&copy, &moved}) {
+    ASSERT_EQ(d->size(), 2u);
+    EXPECT_EQ(d->samples()[0].app, "cg");
+    EXPECT_EQ(d->samples()[0].runtimes, std::vector<double>{1.0});
+    EXPECT_EQ(d->samples()[1].app, "ep");
+    EXPECT_EQ(d->samples()[1].status, SampleStatus::Retried);
+  }
+  EXPECT_EQ(report.duplicates, 2u);
+  EXPECT_EQ(report.replaced, 1u);
+}
+
 TEST(Dataset, FilterAndDistinct) {
   Dataset dataset;
   Sample s;

@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -139,6 +141,59 @@ TEST(Strings, ParseDoubleRejectsGarbage) {
   EXPECT_DOUBLE_EQ(*parse_double("-3e2"), -300.0);
   EXPECT_FALSE(parse_double("1.5.3").has_value());
   EXPECT_FALSE(parse_double("abc").has_value());
+}
+
+TEST(Strings, FormatDoubleMatchesPrintfWhereverPrintfFitted) {
+  // The old implementation printed into a 64-byte buffer; everything that
+  // fitted must come out byte-identical.
+  Xoshiro256 rng(99);
+  std::vector<double> values = {0.0, -0.0, 0.5, 1.5, 2.5, 0.0009765625,
+                                1e-9, 5e-10, 123456.0000005, 1e52, -1e52,
+                                5e-324, 2.2250738585072014e-308,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i < 2000; ++i) {
+    const double magnitude = std::pow(10.0, rng.uniform() * 70.0 - 20.0);
+    values.push_back((rng.uniform() < 0.5 ? -1.0 : 1.0) * magnitude * rng.uniform());
+  }
+  for (const double value : values) {
+    for (const int precision : {-1, 0, 1, 3, 6, 9, 12}) {
+      char buf[64];
+      const int n = std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+      if (n >= static_cast<int>(sizeof(buf))) continue;  // was truncated
+      EXPECT_EQ(format_double(value, precision), std::string(buf))
+          << value << " at precision " << precision;
+    }
+  }
+}
+
+TEST(Strings, FormatDoubleRoundTripsHugeTinyAndSignedZero) {
+  // Values of 1e63 and more used to be cut to 63 characters (1e70 read back
+  // as 1e62) without any error.
+  for (const double value : {1e63, -1e63, 1e70, 3e200, 1e300, -1e300,
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max()}) {
+    const std::string text = format_double(value, 9);
+    EXPECT_EQ(text.substr(text.size() - 10), ".000000000") << text;
+    const auto parsed = parse_double(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(*parsed, value) << text;
+  }
+  // The smallest subnormal needs 324 fraction digits to survive.
+  const std::string tiny = format_double(5e-324, 400);
+  ASSERT_EQ(tiny.size(), 402u);
+  EXPECT_EQ(parse_double(tiny), 5e-324);
+  EXPECT_EQ(format_double(5e-324, 9), "0.000000000");
+  EXPECT_EQ(format_double(-5e-324, 9), "-0.000000000");
+
+  const std::string negative_zero = format_double(-0.0, 9);
+  EXPECT_EQ(negative_zero, "-0.000000000");
+  const auto parsed = parse_double(negative_zero);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, 0.0);
+  EXPECT_TRUE(std::signbit(*parsed));
 }
 
 TEST(Strings, CaseHelpers) {

@@ -87,8 +87,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <thread>
@@ -409,7 +411,11 @@ int cmd_study(int argc, char** argv) {
       result.dataset.save_store(out);
       std::printf("dataset stored to %s\n", out.c_str());
     } else {
-      result.dataset.to_csv().write_file(out);
+      std::ofstream os(out);
+      if (!os) throw std::runtime_error("cannot open '" + out + "' for writing");
+      if (!(os << result.dataset.csv_text())) {
+        throw std::runtime_error("write to '" + out + "' failed");
+      }
       std::printf("dataset written to %s\n", out.c_str());
     }
   }
@@ -566,8 +572,7 @@ int cmd_analyze(int argc, char** argv) {
     print_artifacts(study.analyze_store(reader, &pool));
     return 0;
   }
-  const sweep::Dataset dataset =
-      sweep::Dataset::from_csv(util::CsvTable::read_file(path));
+  const sweep::Dataset dataset = sweep::Dataset::load_csv_file(path);
   std::printf("loaded %zu samples\n", dataset.size());
   print_artifacts(study.analyze(dataset, &pool));
   return 0;
