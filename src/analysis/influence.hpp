@@ -47,10 +47,13 @@ struct InfluenceMap {
 /// identical (degenerate classification) are skipped — mirroring e.g. Sort
 /// and Strassen showing no reliance where they were not executed.
 ///
-/// Groups fit concurrently on `pool` (each group's own gradient loop then
-/// runs inline on its worker); rows are emitted in group first-appearance
-/// order regardless of completion order, and each fit is deterministic, so
-/// the map is bit-identical at any thread count.
+/// Each group's rows are encoded and standardized straight into the
+/// solver's column blocks (no per-group Dataset copy), then every group is
+/// fitted by one lock-step LogisticRegression::fit_batch: each epoch is one
+/// parallel_for over the 1024-row tiles of all groups still running, so
+/// small groups share `pool`'s lanes instead of leaving them idle. Rows
+/// are emitted in group first-appearance order and each group's weights
+/// equal its own fit(), so the map is bit-identical at any thread count.
 InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
                            double label_threshold = 1.01,
                            ml::LogisticOptions options = {},

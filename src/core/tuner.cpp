@@ -57,25 +57,35 @@ sweep::Dataset arch_slice(const store::StoreReader& reader,
 KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
                              double label_threshold,
                              const util::ThreadPool* pool)
-    : dataset_(&dataset),
-      pair_influence_(analysis::influence_map(
-          dataset, analysis::Grouping::PerArchApplication, label_threshold, {},
-          pool)),
-      arch_influence_(analysis::influence_map(
-          dataset, analysis::Grouping::PerArchitecture, label_threshold, {},
-          pool)) {}
+    : dataset_(&dataset) {
+  fit_influence(label_threshold, pool);
+}
 
 KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
                              const std::string& arch, double label_threshold,
                              const util::ThreadPool* pool)
-    : owned_(arch_slice(reader, arch)),
-      dataset_(&owned_),
-      pair_influence_(analysis::influence_map(
-          owned_, analysis::Grouping::PerArchApplication, label_threshold, {},
-          pool)),
-      arch_influence_(analysis::influence_map(
-          owned_, analysis::Grouping::PerArchitecture, label_threshold, {},
-          pool)) {}
+    : owned_(arch_slice(reader, arch)), dataset_(&owned_) {
+  fit_influence(label_threshold, pool);
+}
+
+void KnowledgeBase::fit_influence(double label_threshold,
+                                  const util::ThreadPool* pool) {
+  // Quarantined samples carry zeroed placeholder speedups, which would
+  // label them sub-optimal: the maps fit on the rest, as Study::analyze
+  // and a multi-shard Snapshot do.
+  sweep::Dataset clean_copy;
+  const sweep::Dataset* analysed = dataset_;
+  if (dataset_->quarantined_count() > 0) {
+    clean_copy = dataset_->ok_samples();
+    analysed = &clean_copy;
+  }
+  pair_influence_ = analysis::influence_map(
+      *analysed, analysis::Grouping::PerArchApplication, label_threshold, {},
+      pool);
+  arch_influence_ = analysis::influence_map(
+      *analysed, analysis::Grouping::PerArchitecture, label_threshold, {},
+      pool);
+}
 
 std::vector<std::string> KnowledgeBase::variable_priority(
     const std::string& app, const std::string& arch) const {

@@ -33,8 +33,9 @@ namespace omptune::core {
 /// Knowledge-based recommendations backed by a study dataset.
 class KnowledgeBase {
  public:
-  /// The influence maps behind variable_priority() fit one model per group;
-  /// with a pool those fits run concurrently (identical maps either way).
+  /// The influence maps behind variable_priority() fit one model per group
+  /// on the non-quarantined samples; with a pool those fits run in lock
+  /// step on its lanes (identical maps either way).
   explicit KnowledgeBase(const sweep::Dataset& dataset,
                          double label_threshold = 1.01,
                          const util::ThreadPool* pool = nullptr);
@@ -64,6 +65,8 @@ class KnowledgeBase {
   const analysis::InfluenceMap& pair_influence() const { return pair_influence_; }
 
  private:
+  void fit_influence(double label_threshold, const util::ThreadPool* pool);
+
   sweep::Dataset owned_;  ///< store-backed slice; empty for borrowed datasets
   const sweep::Dataset* dataset_;
   analysis::InfluenceMap pair_influence_;

@@ -114,27 +114,30 @@ FeatureEncoder::FeatureEncoder(FeatureOptions options) : options_(options) {
 }
 
 std::vector<double> FeatureEncoder::encode_sample(const sweep::Sample& s) const {
-  std::vector<double> row;
-  row.reserve(names_.size());
-  if (options_.include_architecture) row.push_back(encode_arch(s.arch));
-  if (options_.include_application) row.push_back(encode_app(s.app));
-  if (options_.include_input_size) row.push_back(encode_input(s.input));
-  if (options_.include_threads) row.push_back(static_cast<double>(s.threads));
-  row.push_back(encode_places(s.config.places));
-  row.push_back(encode_bind(s.config.bind));
-  row.push_back(encode_schedule(s.config.schedule));
-  row.push_back(encode_library(s.config.library));
-  row.push_back(encode_blocktime(s.config.blocktime_ms));
-  row.push_back(encode_reduction(s.config.reduction));
-  row.push_back(encode_align(s.config.align_alloc));
+  std::vector<double> row(names_.size());
+  encode_sample_into(s, row.data());
   return row;
+}
+
+void FeatureEncoder::encode_sample_into(const sweep::Sample& s,
+                                        double* out) const {
+  if (options_.include_architecture) *out++ = encode_arch(s.arch);
+  if (options_.include_application) *out++ = encode_app(s.app);
+  if (options_.include_input_size) *out++ = encode_input(s.input);
+  if (options_.include_threads) *out++ = static_cast<double>(s.threads);
+  *out++ = encode_places(s.config.places);
+  *out++ = encode_bind(s.config.bind);
+  *out++ = encode_schedule(s.config.schedule);
+  *out++ = encode_library(s.config.library);
+  *out++ = encode_blocktime(s.config.blocktime_ms);
+  *out++ = encode_reduction(s.config.reduction);
+  *out = encode_align(s.config.align_alloc);
 }
 
 Matrix FeatureEncoder::encode(const sweep::Dataset& dataset) const {
   Matrix x(dataset.size(), num_features());
   for (std::size_t r = 0; r < dataset.size(); ++r) {
-    const std::vector<double> row = encode_sample(dataset.samples()[r]);
-    for (std::size_t c = 0; c < row.size(); ++c) x.at(r, c) = row[c];
+    encode_sample_into(dataset.samples()[r], x.row(r));
   }
   return x;
 }
@@ -144,7 +147,7 @@ std::vector<int> FeatureEncoder::labels(const sweep::Dataset& dataset,
   std::vector<int> y;
   y.reserve(dataset.size());
   for (const sweep::Sample& s : dataset.samples()) {
-    y.push_back(s.speedup > threshold ? 1 : 0);
+    y.push_back(label(s, threshold));
   }
   return y;
 }

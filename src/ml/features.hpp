@@ -38,9 +38,17 @@ class FeatureEncoder {
   /// Encode one sample.
   std::vector<double> encode_sample(const sweep::Sample& sample) const;
 
+  /// Encode one sample into out[0, num_features()).
+  void encode_sample_into(const sweep::Sample& sample, double* out) const;
+
   /// Optimal / sub-optimal labels: speedup > threshold (paper: 1.01).
   static std::vector<int> labels(const sweep::Dataset& dataset,
                                  double threshold = 1.01);
+
+  /// One sample's label.
+  static int label(const sweep::Sample& sample, double threshold = 1.01) {
+    return sample.speedup > threshold ? 1 : 0;
+  }
 
  private:
   FeatureOptions options_;

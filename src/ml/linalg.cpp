@@ -4,6 +4,18 @@
 
 namespace omptune::ml {
 
+ColumnBlocks::ColumnBlocks(const Matrix& x)
+    : ColumnBlocks(x.rows(), x.cols()) {
+  for (std::size_t chunk = 0; chunk < chunks(); ++chunk) {
+    const std::size_t begin = chunk * kChunkRows;
+    const std::size_t len = chunk_rows(chunk);
+    for (std::size_t c = 0; c < cols_; ++c) {
+      double* out = column(chunk, c);
+      for (std::size_t i = 0; i < len; ++i) out[i] = x.at(begin + i, c);
+    }
+  }
+}
+
 Matrix Matrix::gram() const {
   Matrix g(cols_, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {

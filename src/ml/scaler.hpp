@@ -25,6 +25,10 @@ class StandardScaler {
     return transform(x);
   }
 
+  /// fit_transform over the solver's layout, in place: the same sums in
+  /// the same row order, so the values equal fit_transform(Matrix)'s.
+  void fit_transform(ColumnBlocks& x);
+
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& scales() const { return scales_; }
   bool fitted() const { return !means_.empty(); }

@@ -1,6 +1,7 @@
 #include "sweep/resilience.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -24,7 +25,13 @@ struct WatchdogState {
   std::exception_ptr error;
 };
 
+std::atomic<std::size_t> g_attempts_in_flight{0};
+
 }  // namespace
+
+std::size_t watchdog_attempts_in_flight() {
+  return g_attempts_in_flight.load(std::memory_order_acquire);
+}
 
 double run_with_deadline(sim::Runner& runner, const apps::Application& app,
                          const apps::InputSize& input, const arch::CpuArch& cpu,
@@ -37,34 +44,49 @@ double run_with_deadline(sim::Runner& runner, const apps::Application& app,
   }
 
   auto state = std::make_shared<WatchdogState>();
-  std::thread worker([state, &runner, &app, &input, &cpu, config, batch_seed,
-                      repetition, sample_index] {
-    double result = 0.0;
-    std::exception_ptr error;
-    try {
-      result = runner.run(app, input, cpu, config, batch_seed, repetition,
-                          sample_index);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->result = result;
-    state->error = error;
-    state->done = true;
-    state->done_cv.notify_all();
-  });
+  // Counted before the worker starts (it may finish first), and uncounted
+  // again if it never starts.
+  g_attempts_in_flight.fetch_add(1, std::memory_order_relaxed);
+  std::thread worker;
+  try {
+    worker = std::thread([state, &runner, &app, &input, &cpu, config,
+                          batch_seed, repetition, sample_index] {
+      double result = 0.0;
+      std::exception_ptr error;
+      try {
+        result = runner.run(app, input, cpu, config, batch_seed, repetition,
+                            sample_index);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        state->result = result;
+        state->error = error;
+        state->done = true;
+        state->done_cv.notify_all();
+      }
+      // The last touch of anything outside `state`: from here on the
+      // caller's runner and input may go.
+      g_attempts_in_flight.fetch_sub(1, std::memory_order_release);
+    });
+  } catch (...) {
+    g_attempts_in_flight.fetch_sub(1, std::memory_order_release);
+    throw;
+  }
 
   std::unique_lock<std::mutex> lock(state->mutex);
   const bool finished = state->done_cv.wait_for(
       lock, std::chrono::milliseconds(timeout_ms),
       [&state] { return state->done; });
   if (!finished) {
-    // The worker may be wedged forever; abandon it. It only touches the
-    // shared state (kept alive by its copy of the shared_ptr), so the
-    // caller-side references (runner, app, ...) must outlive the study —
-    // true for all Runner implementations here, whose hangs are bounded
-    // sleeps. A real collection daemon would kill the child process
-    // instead.
+    // The worker may be wedged forever; abandon it. Besides the shared
+    // state (kept alive by its copy of the shared_ptr) it still uses the
+    // caller-side references (runner, app, input, ...) until the runner
+    // returns, so their owner must outlive the attempt — the study, or a
+    // wait for watchdog_attempts_in_flight() to reach zero. Runner hangs
+    // here are bounded sleeps; a real collection daemon would kill the
+    // child process instead.
     lock.unlock();
     worker.detach();
     throw util::TransientError("sample exceeded deadline of " +

@@ -18,6 +18,7 @@
 // util::StudyAbort (simulated process death) is never absorbed — it always
 // escapes, so interrupted studies stop exactly where a crash would.
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -93,5 +94,12 @@ double run_with_deadline(sim::Runner& runner, const apps::Application& app,
                          const rt::RtConfig& config, std::uint64_t batch_seed,
                          int repetition, std::uint64_t sample_index,
                          std::int64_t timeout_ms);
+
+/// run_with_deadline attempts that have not returned from the runner yet,
+/// abandoned ones included. An abandoned attempt keeps using the runner,
+/// application, input, architecture and configuration it was given until
+/// the runner returns; an owner about to destroy those waits for this to
+/// reach zero.
+std::size_t watchdog_attempts_in_flight();
 
 }  // namespace omptune::sweep

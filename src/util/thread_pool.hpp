@@ -17,10 +17,10 @@
 // (the CLI's --analysis-threads flag feeds the same constructor).
 //
 // Nesting: a parallel_for issued from inside a pool worker runs its chunks
-// inline on that worker, in order. Outer parallelism (e.g. per-group model
-// fits) therefore composes with inner parallelism (data-parallel gradient
-// accumulation) without deadlock; whichever level reaches the pool first
-// gets the threads.
+// inline on that worker, in order. Outer parallelism (e.g. the per-arch
+// model comparison) therefore composes with inner parallelism (the
+// logistic solver's epoch tiles) without deadlock; whichever level reaches
+// the pool first gets the threads.
 //
 // Exceptions: the first exception thrown by a chunk is captured, the
 // remaining chunks of that loop are abandoned, and the exception is

@@ -8,9 +8,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "core/study.hpp"
 #include "sim/executor.hpp"
@@ -205,11 +207,20 @@ TEST(ResiliencePolicy, WatchdogConvertsHangsIntoTimeouts) {
   const auto& cpu = architecture(ArchId::Milan);
   const auto& app = apps::find_application("lulesh");
 
+  const apps::InputSize input = app.default_input();
+  const rt::RtConfig config = rt::RtConfig::defaults_for(cpu);
+
   const MeasureOutcome outcome =
-      policy.measure(runner, app, app.default_input(), cpu,
-                     rt::RtConfig::defaults_for(cpu), 2, 0, 0);
+      policy.measure(runner, app, input, cpu, config, 2, 0, 0);
   EXPECT_EQ(outcome.status, SampleStatus::Quarantined);
   EXPECT_NE(outcome.error.find("deadline"), std::string::npos) << outcome.error;
+
+  // The abandoned attempts still sleep inside `runner` with `input`; both
+  // must stay alive until they return.
+  for (int i = 0; i < 500 && watchdog_attempts_in_flight() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(watchdog_attempts_in_flight(), 0u);
 }
 
 TEST(ResiliencePolicy, StudyAbortAlwaysEscapes) {

@@ -355,6 +355,71 @@ TEST(Store, KnowledgeBaseFromStoreMatchesInMemoryAnswers) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Store, KnowledgeBaseFromStoreFitsOnNonQuarantinedSamples) {
+  sim::ModelRunner runner;
+  sweep::SweepHarness harness(runner, 3, 5);
+  const sweep::Dataset collected =
+      harness.run_study(sweep::StudyPlan::mini_plan(2, 40));
+  const std::string arch = collected.samples().front().arch;
+  const std::string app = collected.samples().front().app;
+  // Quarantine every static-schedule run of one pair: their zeroed
+  // speedups would read as "static is sub-optimal" if the fit saw them.
+  std::vector<sweep::Sample> samples = collected.samples();
+  std::size_t quarantined = 0;
+  for (sweep::Sample& s : samples) {
+    if (s.arch != arch || s.app != app || s.is_default ||
+        s.config.schedule != rt::ScheduleKind::Static) {
+      continue;
+    }
+    s.status = sweep::SampleStatus::Quarantined;
+    s.error = "injected";
+    for (double& r : s.runtimes) r = 0.0;
+    s.mean_runtime = 0.0;
+    s.speedup = 0.0;
+    ++quarantined;
+  }
+  ASSERT_GT(quarantined, 0u);
+  const sweep::Dataset dataset(std::move(samples));
+  const std::string dir = temp_dir("kb_quarantine");
+  const std::string path = util::path_join(dir, "d.omps");
+  dataset.save_store(path);
+
+  const sweep::Dataset arch_data =
+      dataset.filter([&](const sweep::Sample& s) { return s.arch == arch; });
+  const sweep::Dataset clean = arch_data.ok_samples();
+  // The placeholders do move the fit: that is what is being excluded.
+  const auto with_placeholders = analysis::influence_map(
+      arch_data, analysis::Grouping::PerArchApplication);
+  const auto without = analysis::influence_map(
+      clean, analysis::Grouping::PerArchApplication);
+  ASSERT_FALSE(with_placeholders.rows.empty());
+  ASSERT_NE(with_placeholders.rows.front().influence,
+            without.rows.front().influence);
+
+  const core::KnowledgeBase reference(clean);
+  const store::StoreReader reader(path);
+  const core::KnowledgeBase from_store(reader, arch);
+  const core::KnowledgeBase from_dataset(arch_data);
+  for (const std::string& pair_app :
+       arch_data.distinct([](const sweep::Sample& s) { return s.app; })) {
+    EXPECT_EQ(from_store.variable_priority(pair_app, arch),
+              reference.variable_priority(pair_app, arch))
+        << pair_app;
+    EXPECT_EQ(from_dataset.variable_priority(pair_app, arch),
+              reference.variable_priority(pair_app, arch))
+        << pair_app;
+  }
+  EXPECT_EQ(from_store.variable_priority("no-such-app", arch),
+            reference.variable_priority("no-such-app", arch));
+  ASSERT_EQ(from_store.pair_influence().rows.size(),
+            reference.pair_influence().rows.size());
+  for (std::size_t i = 0; i < reference.pair_influence().rows.size(); ++i) {
+    EXPECT_EQ(from_store.pair_influence().rows[i].influence,
+              reference.pair_influence().rows[i].influence);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- dedupe semantics -------------------------------------------------------
 
 TEST(Dedupe, BestStatusWinsRegardlessOfOrder) {
