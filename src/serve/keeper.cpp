@@ -101,7 +101,7 @@ void Keeper::note_incident(const std::string& cause,
 }
 
 void Keeper::consume_line(const std::string& line) {
-  if (line == "hb") return;
+  if (line == "hb" || line == "boot") return;
   if (line.rfind("gen ", 0) == 0) {
     const std::vector<std::string> fields = util::split(line.substr(4), '\t');
     if (fields.empty()) return;
@@ -138,6 +138,7 @@ Keeper::Child Keeper::spawn() {
     // (omptune serve --supervised) leaks the guard's singleton flag into
     // this child; clear it so the server below can install its own.
     util::reset_shutdown_guard_after_fork();
+    util::fresh_thread_stacks_after_fork();
     ::signal(SIGPIPE, SIG_IGN);  // a dead keeper must surface as EPIPE
     child.heartbeat.close_read();
     int exit_code = 0;
@@ -214,8 +215,12 @@ int Keeper::run() {
       const std::vector<std::string> lines = reader.drain();
       if (!lines.empty()) {
         child.last_beat_ms = util::monotonic_ms();
-        ready_.store(true, std::memory_order_release);
-        for (const std::string& line : lines) consume_line(line);
+        for (const std::string& line : lines) {
+          // "boot" proves the child alive while it loads; any other line
+          // comes from its IO loop, so its listeners are bound.
+          if (line != "boot") ready_.store(true, std::memory_order_release);
+          consume_line(line);
+        }
       }
       if (stop_requested_.load(std::memory_order_acquire)) {
         status = terminate_child(child.pid,

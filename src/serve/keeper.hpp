@@ -4,8 +4,9 @@
 // server (DESIGN.md §13). The Keeper forks the server as a child process
 // and watches it over a heartbeat pipe:
 //
-//   keeper ──fork──▶ server child (binds the socket, serves)
-//          ◀──pipe── "hb" every heartbeat_interval_ms
+//   keeper ──fork──▶ server child (loads, binds the socket, serves)
+//          ◀──pipe── "boot" every heartbeat_interval_ms while it loads
+//                    "hb" every heartbeat_interval_ms once it serves
 //                    "gen <g>\t<shard>..." at boot and after every swap
 //
 // Three failure modes, one recovery path:
@@ -55,7 +56,8 @@ struct KeeperOptions {
   std::int64_t heartbeat_interval_ms = 200;
   /// Silence on the heartbeat pipe past this marks the child wedged.
   /// Must comfortably exceed the longest legitimate poll-round (a huge
-  /// batch or a swap load keeps the IO thread busy and silent).
+  /// batch keeps the IO thread busy and silent; snapshot builds, at boot
+  /// or for a swap, do not silence it).
   std::int64_t hang_timeout_ms = 2000;
   /// Delay schedule between restarts.
   util::BackoffPolicy restart_backoff{/*base_ms=*/100, /*max_ms=*/5000};
@@ -104,8 +106,8 @@ class Keeper {
   /// then return from run().
   void request_stop();
 
-  /// True while a child is believed live and has heartbeat at least once
-  /// since its spawn (its listeners are bound by the first beat).
+  /// True while a child is believed live and has sent a line other than
+  /// "boot" since its spawn (its listeners are bound by then).
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
   /// Current child pid (tests aim SIGKILL/SIGSTOP here); -1 between

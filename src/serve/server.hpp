@@ -17,18 +17,30 @@
 // appended to each connection's output buffer in request order and
 // flushed (POLLOUT finishes stragglers).
 //
-// Hot-swap: swap() builds the next Snapshot generation off to the side
-// (open, validate, aggregate — seconds, off the hot path), then installs
-// it with one shared_ptr store under a mutex. Batches grab the snapshot
-// once per round, so every in-flight query finishes on the mapping it
-// started with; the retired generation's mmap unmaps when the last such
-// batch retires. The reply cache is keyed on the generation, so a swap
-// implicitly invalidates it (stale entries are purged eagerly).
+// Hot-swap: a generation is built off to the side (open, validate,
+// aggregate — about a second on a Table II store) on a transient
+// util::ThreadPool sized like the analytics engine's
+// (ThreadPool::default_thread_count()), then installed with one
+// shared_ptr store under a mutex. A wire Swap never builds on the IO
+// thread: it runs on its own build thread while the loop keeps polling,
+// answering other connections from the current generation and writing
+// Keeper heartbeats; the loop answers the Swap when the build is done.
+// Frames behind a Swap on its connection wait for that reply, so a
+// pipelined Stats sees the new generation; wire swaps build one at a
+// time, in arrival order. Batches grab the snapshot once per round, so
+// every in-flight query finishes on the mapping it started with; the
+// retired generation's mmap unmaps when the last such batch retires. The
+// reply cache is keyed on the generation, so a swap implicitly invalidates
+// it (stale entries are purged eagerly).
 //
 // Shutdown: SIGINT/SIGTERM (via util::ShutdownSignalGuard), a wire
 // Shutdown message, or request_stop() all trigger the same drain: stop
-// accepting, finish the in-flight round, flush every connection's pending
-// replies under a deadline, then close and account for every connection.
+// accepting, finish the in-flight round, let an in-flight swap build
+// finish and answer its Swap (swaps still queued are refused), flush every
+// connection's pending replies under a deadline, then close and account
+// for every connection.
+
+#include <sched.h>
 
 #include <atomic>
 #include <cstdint>
@@ -53,7 +65,11 @@ struct ServerOptions {
   /// Loopback TCP listener: -1 disables (default), 0 binds an ephemeral
   /// port (see Server::tcp_port()), >0 binds that port on 127.0.0.1.
   int tcp_port = -1;
-  /// Worker lanes for batch execution (0 = ThreadPool default).
+  /// Worker lanes for request batches (0 = ThreadPool default). Snapshot
+  /// builds do not use them: boot and every swap build on a transient pool
+  /// of ThreadPool::default_thread_count() lanes (OMPTUNE_ANALYSIS_THREADS,
+  /// else every hardware thread), whose threads start with the CPU set of
+  /// the thread that constructed the Server.
   unsigned threads = 0;
   /// Reply-cache capacity in entries (0 disables the cache).
   std::size_t cache_capacity = 4096;
@@ -88,9 +104,10 @@ struct ServerOptions {
   /// resets it, so trickling one byte per second does not keep a slot
   /// alive. 0 disables.
   std::int64_t stall_timeout_ms = 0;
-  /// Keeper liveness pipe: when >= 0, the IO loop writes "hb" lines every
-  /// heartbeat_interval_ms and a "gen <generation>\t<path>..." line at
-  /// boot and after every swap, so the supervisor can detect a wedged
+  /// Keeper liveness pipe: when >= 0, the boot build writes "boot" lines
+  /// and the IO loop "hb" lines every heartbeat_interval_ms (a swap build
+  /// in flight does not pause them), plus a "gen <generation>\t<path>..."
+  /// line at boot and after every swap, so the supervisor can detect a wedged
   /// process and restart onto the last-known-good shard set. -1 disables.
   int heartbeat_fd = -1;
   std::int64_t heartbeat_interval_ms = 500;
@@ -142,11 +159,12 @@ class Server {
   void request_stop();
 
   /// Hot-swap to a new shard set: builds generation current+1 from
-  /// `store_paths`, installs it atomically, purges the stale cache
-  /// generation. In-flight batches finish on the old snapshot. On any
-  /// load failure the old generation keeps serving and the error
-  /// propagates (typed, carrying path + attempted generation).
-  /// Thread-safe; concurrent swaps serialize.
+  /// `store_paths` on the calling thread (plus the build pool), installs
+  /// it atomically, purges the stale cache generation. In-flight batches
+  /// finish on the old snapshot. On any load failure the old generation
+  /// keeps serving and the error propagates (typed, carrying path +
+  /// attempted generation). Thread-safe; concurrent swaps serialize. A
+  /// wire Swap runs this same function on its build thread.
   std::uint64_t swap(const std::vector<std::string>& store_paths);
 
   /// True once run() is listening (tests poll this before connecting).
@@ -176,8 +194,18 @@ class Server {
  private:
   struct Conn;
   struct Work;
+  struct SwapBuild;
 
   std::shared_ptr<const Snapshot> snapshot() const;
+  /// Load generation `generation` on a transient build pool (see
+  /// ServerOptions::threads) — the one build path of boot and swap().
+  std::shared_ptr<const Snapshot> build(
+      const std::vector<std::string>& store_paths,
+      std::uint64_t generation) const;
+  /// Generation 1: build(), beating "boot" lines while it runs when a
+  /// Keeper listens.
+  std::shared_ptr<const Snapshot> boot(
+      const std::vector<std::string>& store_paths) const;
   void execute_round(std::vector<Work>& works,
                      const std::shared_ptr<const Snapshot>& snap);
   void handle_admin(Work& work);
@@ -186,6 +214,9 @@ class Server {
 
   ServerOptions options_;
   util::ThreadPool pool_;
+  /// CPU set of the constructing thread: build threads and build-pool
+  /// lanes start with it, whatever the spawning thread is pinned to.
+  cpu_set_t build_cpus_;
   ReplyCache cache_;
 
   mutable std::mutex snapshot_mutex_;

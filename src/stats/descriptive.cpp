@@ -47,15 +47,22 @@ double max_value(const std::vector<double>& values) {
   return *std::max_element(values.begin(), values.end());
 }
 
+// Selection instead of a full sort: nth_element places the lower order
+// statistic at `lo` with everything after it no smaller, so the next order
+// statistic is the minimum of that tail. Both equal the sorted vector's
+// [lo] and [hi] as values, and the interpolation expression is unchanged.
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile: empty input");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q out of [0,1]");
-  std::sort(values.begin(), values.end());
   const double pos = q * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -298,6 +299,20 @@ bool ShutdownSignalGuard::triggered() const {
 }
 
 void ShutdownSignalGuard::trigger() { shutdown_handler(0); }
+
+void fresh_thread_stacks_after_fork() {
+  pthread_attr_t attr;
+  if (::pthread_getattr_default_np(&attr) != 0) return;
+  std::size_t stack = 0;
+  if (::pthread_attr_getstacksize(&attr, &stack) == 0) {
+    const long page = ::sysconf(_SC_PAGESIZE);
+    if (::pthread_attr_setstacksize(&attr,
+                                    stack + static_cast<std::size_t>(page)) == 0) {
+      ::pthread_setattr_default_np(&attr);
+    }
+  }
+  ::pthread_attr_destroy(&attr);
+}
 
 void die_with_parent() {
 #ifdef __linux__

@@ -164,4 +164,13 @@ void die_with_parent();
 /// inherited; must only be called between fork() and exec-or-serve.
 void reset_shutdown_guard_after_fork();
 
+/// In a child forked from a multithreaded process: make the threads it
+/// creates take fresh stacks. glibc caches the stacks of the parent's other
+/// threads at fork and hands them to the child's new threads, pthread_t
+/// values included; ThreadSanitizer keys threads by that value and aborts a
+/// child whose new thread repeats one it still counts live in the parent.
+/// Raising the default stack size by one page makes no cached stack fit.
+/// Must only be called between fork() and the child's first thread.
+void fresh_thread_stacks_after_fork();
+
 }  // namespace omptune::util

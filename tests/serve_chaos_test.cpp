@@ -31,6 +31,7 @@
 #include "sim/wire_chaos.hpp"
 #include "store/writer.hpp"
 #include "sweep/harness.hpp"
+#include "util/env.hpp"
 #include "util/fs.hpp"
 #include "util/process.hpp"
 
@@ -180,6 +181,23 @@ serve::Request recommend_request(const std::string& app,
   request.app = app;
   request.arch = arch;
   return request;
+}
+
+/// A study store whose snapshot takes at least `min_ms` to build on one
+/// lane: the plan doubles its configurations per setting until a timed
+/// one-lane build reaches `min_ms`. Tests serve it under
+/// OMPTUNE_ANALYSIS_THREADS=1, so the server's build pool has one lane too.
+std::string slow_store(const std::string& dir, std::int64_t min_ms) {
+  const std::string path = util::path_join(dir, "slow.omps");
+  for (std::size_t configs = 250;; configs *= 2) {
+    sim::ModelRunner runner;
+    sweep::SweepHarness harness(runner, 3, 11);
+    store::write_store(
+        path, harness.run_study(sweep::StudyPlan::mini_plan(8, configs)));
+    const std::int64_t start = util::monotonic_ms();
+    serve::Snapshot::load({path}, 1);
+    if (util::monotonic_ms() - start >= min_ms || configs >= 8000) return path;
+  }
 }
 
 serve::Client connect_with_retry(const std::string& socket_path,
@@ -658,6 +676,55 @@ TEST(Keeper, RestartServesTheHotSwappedGenerationNotTheBootOne) {
   EXPECT_EQ(reply.config_key, expected.config_key);
   EXPECT_DOUBLE_EQ(reply.speedup, expected.speedup);
   keeper.stop_and_join();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Keeper, SnapshotBuildsLongerThanTheHangTimeoutAreNotHangs) {
+  // Snapshot builds run off the IO loop (boot beats "boot" lines, a swap
+  // build leaves the loop's heartbeats running): booting from and then
+  // wire-swapping to a store whose build takes several hang timeouts must
+  // end in generation 2 on the first child, with no hang, no restart and
+  // no incident.
+  const std::string dir = temp_dir("keeper_slow_builds");
+  const util::ScopedEnv one_lane({{"OMPTUNE_ANALYSIS_THREADS", "1"}});
+  StoreFixture boot(dir, "boot.omps", 5);
+  serve::KeeperOptions options = base_keeper_options(dir, boot);
+  options.hang_timeout_ms = 400;
+  const std::string slow = slow_store(dir, 3 * options.hang_timeout_ms);
+  options.store_paths = {slow};
+  TestKeeper keeper(options);
+  const pid_t child = keeper.keeper.child_pid();
+  ASSERT_GT(child, 0);
+
+  serve::Client client = connect_with_retry(options.server.socket_path);
+  serve::Request swap;
+  swap.type = serve::MsgType::Swap;
+  swap.store_paths = {slow};
+  const std::int64_t begin = util::monotonic_ms();
+  const serve::Response reply = client.call_one(swap);
+  const std::int64_t took = util::monotonic_ms() - begin;
+  ASSERT_EQ(reply.type, serve::MsgType::SwapReply);
+  ASSERT_TRUE(reply.found) << reply.message;
+  EXPECT_EQ(reply.generation, 2u);
+  EXPECT_GT(took, options.hang_timeout_ms)
+      << "the build must outlast the hang timeout to test anything";
+
+  const std::int64_t deadline = util::monotonic_ms() + 5000;
+  while (keeper.keeper.reported_generation() < 2 &&
+         util::monotonic_ms() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(keeper.keeper.reported_generation(), 2u);
+  EXPECT_EQ(keeper.keeper.child_pid(), child);
+  const serve::KeeperCounters counters = keeper.keeper.counters();
+  EXPECT_EQ(counters.hangs, 0u);
+  EXPECT_EQ(counters.crashes, 0u);
+  EXPECT_EQ(counters.restarts, 0u);
+  const std::string incidents =
+      util::read_file(options.incident_log_path).value_or("");
+  EXPECT_EQ(incidents.find("hang"), std::string::npos) << incidents;
+  keeper.stop_and_join();
+  EXPECT_EQ(keeper.rc, 0);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "stats/descriptive.hpp"
 #include "stats/kde.hpp"
@@ -63,6 +65,52 @@ TEST(Descriptive, QuantilesInterpolate) {
   EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(median({5, 1, 3}), 3.0);
   EXPECT_THROW(quantile({1.0}, 1.5), std::invalid_argument);
+}
+
+/// The sort-based quantile that selection replaced, kept verbatim as the
+/// reference.
+double sorted_quantile(std::vector<double> values, double q) {
+  if (values.empty()) throw std::invalid_argument("quantile: empty input");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q out of [0,1]");
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+TEST(Descriptive, SelectionQuantileMatchesSortedReference) {
+  // Selection picks the same order statistics as the full sort, so every
+  // quantile is equal under ==. Equal-comparing values are interchangeable
+  // to both algorithms: with +0.0 and -0.0 present, either may surface a
+  // zero of the other sign, and == treats the two as equal — which is why
+  // the comparison is == rather than bitwise. NaN is out of contract for
+  // both (no strict weak ordering), so inputs here are NaN-free.
+  util::Xoshiro256 rng(2024);
+  std::vector<std::vector<double>> inputs = {{1.5}, {2.0, -1.0}, {3.0, 1.0, 2.0}};
+  for (const std::size_t n : {4u, 17u, 100u, 1001u}) {
+    std::vector<double> random(n), duplicates(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = rng.uniform(-10.0, 10.0);
+      duplicates[i] = static_cast<double>(rng.uniform_index(4)) * 0.5;
+    }
+    std::vector<double> sorted = random;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> reversed(sorted.rbegin(), sorted.rend());
+    inputs.push_back(random);
+    inputs.push_back(duplicates);
+    inputs.push_back(sorted);
+    inputs.push_back(reversed);
+  }
+  inputs.push_back({0.0, -0.0, 1.0, -0.0, 0.0});
+  for (const std::vector<double>& values : inputs) {
+    for (const double q : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+      EXPECT_TRUE(quantile(values, q) == sorted_quantile(values, q))
+          << "n=" << values.size() << " q=" << q;
+    }
+    EXPECT_TRUE(median(values) == sorted_quantile(values, 0.5));
+  }
 }
 
 TEST(Descriptive, SummaryAgreesWithPieces) {

@@ -763,6 +763,12 @@ int cmd_serve(int argc, char** argv) {
     return usage();
   }
   options.threads = g_analysis_threads;
+  // Snapshot builds (boot and every swap) size their pool with
+  // ThreadPool::default_thread_count(), which reads OMPTUNE_ANALYSIS_THREADS:
+  // the flag bounds them through it, in supervised children too.
+  if (g_analysis_threads > 0) {
+    util::set_env("OMPTUNE_ANALYSIS_THREADS", std::to_string(g_analysis_threads));
+  }
   options.log = [](const std::string& line) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
