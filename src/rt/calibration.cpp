@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/fs.hpp"
+
 namespace omptune::rt {
 
 namespace {
@@ -137,14 +139,7 @@ std::string CalibrationTable::serialize() const {
 }
 
 void CalibrationTable::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("calibration: cannot write " + path);
-  }
-  out << serialize();
-  if (!out) {
-    throw std::runtime_error("calibration: write failed for " + path);
-  }
+  util::atomic_write_file(path, serialize());
 }
 
 bool CalibrationTable::operator==(const CalibrationTable& other) const {

@@ -70,8 +70,9 @@ struct CalibrationTable {
   /// parse error).
   static CalibrationTable load(const std::string& path);
 
-  /// Serialize; exact double round-trip. `save` writes atomically enough
-  /// for our uses (truncate + write).
+  /// Serialize; exact double round-trip. `save` replaces the file through
+  /// util::atomic_write_file: on failure it throws util::StorageError and
+  /// the previous table stays intact.
   std::string serialize() const;
   void save(const std::string& path) const;
 

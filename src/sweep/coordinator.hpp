@@ -4,11 +4,10 @@
 //
 // The supervisor (§9) contains faults at the worker-process boundary on ONE
 // machine; the coordinator contains them at the HOST boundary: it partitions
-// the setting lattice into shard manifests (sweep/sharding), leases one
+// the setting lattice into shard manifests (sweep/sharding) and leases one
 // manifest at a time to each of N host agents — forked processes standing in
-// for cluster nodes, speaking the same line protocol as supervisor workers
-// with task_index = shard index — and watches the same three liveness
-// signals (death, missed heartbeats, lease-TTL expiry). A reclaimed shard is
+// for cluster nodes, run by the same process fleet as supervisor workers
+// (sweep/fleet.hpp) with task_index = shard index. A struck shard is
 // re-leased under exponential backoff with decorrelated jitter
 // (sweep/lease), with an attempt cap after which the shard's settings are
 // quarantined via the resilience taxonomy, exactly like a poisonous setting
@@ -71,7 +70,8 @@ struct CoordinatorOptions {
   std::int64_t heartbeat_timeout_ms = 10000;
   /// Agent heartbeat throttle (rides on sample completion).
   std::int64_t heartbeat_interval_ms = 25;
-  /// Re-lease pacing for failed shards (decorrelated jitter).
+  /// Re-lease pacing for failed shards and respawn pacing for dead agents
+  /// (decorrelated jitter).
   BackoffPolicy backoff;
   /// Failed collection attempts before a shard's settings are quarantined.
   int max_shard_attempts = 5;

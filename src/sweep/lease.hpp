@@ -47,13 +47,12 @@ struct ShardLease {
   std::size_t shard = 0;
   ShardState state = ShardState::Pending;
   int attempts = 0;   ///< failed collection attempts so far
-  int holder = -1;    ///< host slot while Leased, -1 otherwise
   std::string evidence;  ///< last failure description (persisted)
 
-  // Volatile scheduling state (monotonic clock; never persisted).
-  std::int64_t lease_deadline_ms = 0;  ///< TTL expiry while Leased; 0 = none
-  std::int64_t eligible_at_ms = 0;     ///< backoff gate for the next lease
-  std::int64_t prev_delay_ms = 0;      ///< decorrelated-jitter state
+  // Volatile scheduling state (monotonic clock; never persisted). The lease
+  // clock itself lives in the process fleet (sweep/fleet.hpp).
+  std::int64_t eligible_at_ms = 0;  ///< backoff gate for the next lease
+  std::int64_t prev_delay_ms = 0;   ///< decorrelated-jitter state
 };
 
 /// The coordinator's shard ledger. Indexed by shard number; persisted via

@@ -1,106 +1,87 @@
 #include "sweep/supervisor.hpp"
 
-#include <dirent.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "arch/cpu_arch.hpp"
+#include "sweep/fleet.hpp"
 #include "sweep/journal.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
-#include "util/process.hpp"
 
 namespace omptune::sweep {
 
 namespace {
 
-constexpr int kPollIntervalMs = 25;
-/// Workers dying repeatedly before their `ready` handshake indicate a broken
-/// environment (fork bomb guard), not a poisonous setting.
-constexpr int kMaxSpawnFailures = 5;
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::string make_private_temp_dir() {
-  const char* base = std::getenv("TMPDIR");
-  std::string tmpl = std::string(base != nullptr && *base != '\0' ? base : "/tmp");
-  tmpl += "/omptune-supervisor-XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) {
-    throw_errno("StudySupervisor: mkdtemp(" + tmpl + ")");
-  }
-  return std::string(buf.data());
-}
-
-std::vector<std::string> list_subdirs(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    struct stat st{};
-    const std::string path = util::path_join(dir, name);
-    if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-      out.push_back(name);
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Remove a directory containing only regular files (a journal directory).
-void remove_flat_dir(const std::string& dir) {
-  for (const std::string& name : util::list_files(dir)) {
-    util::remove_file(util::path_join(dir, name));
-  }
-  ::rmdir(dir.c_str());
-}
-
 enum class TaskState { Queued, Done };
 
-/// Parent-side handle on one forked worker.
-struct WorkerProc {
-  pid_t pid = -1;
-  int slot = 0;
-  util::Pipe cmd;  ///< parent keeps write_fd
-  util::Pipe res;  ///< parent keeps read_fd
-  util::LineReader reader{-1};
-  std::unique_ptr<StudyJournal> journal;
-  bool ready = false;
-  bool exit_sent = false;
-  bool saw_bye = false;
-  std::deque<std::size_t> leased;        ///< assigned, not yet done
-  std::optional<std::size_t> inflight;   ///< `start` seen, `done` not yet
-  std::int64_t last_signal = 0;          ///< monotonic_ms of last message
-  std::int64_t lease_deadline = 0;       ///< 0 = no outstanding lease clock
-  std::string kill_reason;  ///< set when the supervisor killed on purpose
+[[noreturn]] void apply_chaos(sim::ChaosAction action, int result_fd) {
+  switch (action) {
+    case sim::ChaosAction::Kill:
+      ::raise(SIGKILL);
+      break;
+    case sim::ChaosAction::Segv:
+      ::raise(SIGSEGV);
+      break;
+    case sim::ChaosAction::Wedge:
+      // Stop making progress but stay alive: heartbeats cease, the pipe
+      // stays open — only the supervisor's liveness checks can reap us.
+      for (;;) ::pause();
+    case sim::ChaosAction::Garble: {
+      util::write_all(result_fd, "\x01\x02 this is not the protocol \xff\n");
+      // Keep "working": the supervisor must kill us on the garbage, we
+      // must not conveniently exit on our own.
+      for (;;) ::pause();
+    }
+    case sim::ChaosAction::None:
+      break;
+  }
+  // raise(SIGKILL/SIGSEGV) does not return control here under normal
+  // delivery; if a sanitizer or blocked signal interferes, die loudly.
+  ::_exit(13);
+}
 
-  bool alive() const { return pid >= 0; }
-};
-
-/// Per-slot respawn pacing: consecutive deaths grow the backoff window,
-/// a completed `ready` handshake resets it.
-struct RespawnGate {
-  std::int64_t eligible_at = 0;  ///< monotonic_ms before which no respawn
-  std::int64_t prev_delay = 0;   ///< decorrelated-jitter state
-  int streak = 0;                ///< consecutive deaths without a handshake
-};
+/// The setting worker: measures each leased setting and journals it into
+/// its private journal BEFORE `done` — the report is a promise that the
+/// entry is durably on disk.
+void collect_settings(LeaseLink& link, const std::string& journal_dir,
+                      const std::vector<SettingTask>& tasks,
+                      const SupervisorOptions& options,
+                      const RunnerFactory& make_runner) {
+  StudyJournal journal(journal_dir);
+  const std::unique_ptr<sim::Runner> runner = make_runner();
+  SweepHarness harness(*runner, options.repetitions, options.seed);
+  std::unique_ptr<ResiliencePolicy> policy;
+  if (options.resilient) {
+    policy = std::make_unique<ResiliencePolicy>(options.resilience);
+  }
+  const sim::ChaosMonkey monkey(options.chaos);
+  // The in-flight setting and how far along it is, for deterministic chaos.
+  const protocol::LeaseItem* current = nullptr;
+  std::uint64_t samples_in_setting = 0;
+  harness.set_sample_observer([&] {
+    const sim::ChaosAction action = monkey.draw(
+        tasks[current->task_index].key, current->attempt, ++samples_in_setting);
+    if (action != sim::ChaosAction::None) apply_chaos(action, link.result_fd());
+    link.sample();
+  });
+  link.serve(tasks.size(), [&](const protocol::LeaseItem& item) {
+    current = &item;
+    samples_in_setting = 0;
+    const SettingTask& task = tasks[item.task_index];
+    const Dataset batch =
+        harness.run_setting(arch::architecture(task.arch), task.setting,
+                            task.config_count, policy.get());
+    journal.record(task.key, batch);
+    return static_cast<std::uint64_t>(batch.size());
+  });
+}
 
 }  // namespace
 
@@ -126,7 +107,7 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
 
   std::string journal_dir = options_.journal_dir;
   const bool private_dir = journal_dir.empty();
-  if (private_dir) journal_dir = make_private_temp_dir();
+  if (private_dir) journal_dir = make_private_temp_dir("supervisor");
   report_.journal_dir = journal_dir;
   StudyJournal journal(journal_dir);
   const std::string workers_root = util::path_join(journal_dir, "workers");
@@ -196,346 +177,110 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
     say(task.key + " quarantined: " + full);
   };
 
-  // -- worker pool ------------------------------------------------------------
-  if (!queue.empty()) {
-    util::ShutdownSignalGuard guard;
-    std::vector<WorkerProc> pool;
-    std::vector<RespawnGate> gates(static_cast<std::size_t>(options_.workers));
-    int spawn_failures = 0;
-
-    const auto spawn = [&](int slot) -> WorkerProc {
-      WorkerProc w;
-      w.slot = slot;
-      const std::string dir =
-          util::path_join(workers_root, "w" + std::to_string(slot));
-      // Construct the parent-side journal (creates the directory, clears
-      // stale temp files) BEFORE forking, so cleanup can never race the
-      // child's first write.
-      w.journal = std::make_unique<StudyJournal>(dir);
-
-      WorkerConfig config;
-      config.command_fd = w.cmd.read_fd;
-      config.result_fd = w.res.write_fd;
-      config.slot = slot;
-      config.journal_dir = dir;
-      config.repetitions = options_.repetitions;
-      config.seed = options_.seed;
-      config.resilient = options_.resilient;
-      config.resilience = options_.resilience;
-      config.chaos = options_.chaos;
-      config.heartbeat_interval_ms = options_.heartbeat_interval_ms;
-
-      const pid_t pid = ::fork();
-      if (pid < 0) throw_errno("StudySupervisor: fork()");
-      if (pid == 0) {
-        // Child: drop every parent-side fd inherited from the pool, so a
-        // sibling holding a pipe end can never mask a peer's EOF.
-        for (WorkerProc& other : pool) {
-          other.cmd.close_read();
-          other.cmd.close_write();
-          other.res.close_read();
-          other.res.close_write();
-        }
-        w.cmd.close_write();
-        w.res.close_read();
-        worker_main(config, tasks, make_runner_);  // [[noreturn]]
-      }
-      w.pid = pid;
-      w.cmd.close_read();
-      w.res.close_write();
-      util::set_nonblocking(w.res.read_fd);
-      w.reader = util::LineReader(w.res.read_fd);
-      w.last_signal = util::monotonic_ms();
-      return w;
-    };
-
-    const auto kill_worker = [&](WorkerProc& w, const std::string& reason) {
-      if (!w.alive()) return;
-      if (w.kill_reason.empty()) w.kill_reason = reason;
-      ::kill(w.pid, SIGKILL);
-    };
-
-    const auto grant_lease = [&](WorkerProc& w) {
-      std::vector<protocol::LeaseItem> items;
-      while (!queue.empty() && items.size() < options_.shard_size) {
-        const std::size_t idx = queue.front();
-        queue.pop_front();
-        if (state[idx] == TaskState::Done) continue;
-        items.push_back(protocol::LeaseItem{idx, crashes[idx]});
-        w.leased.push_back(idx);
-      }
-      if (items.empty()) return;
-      if (!util::write_all(w.cmd.write_fd, protocol::format_lease(items))) {
-        // The worker died under us; give the shard back, the reaper will
-        // sort out the corpse.
-        for (auto it = items.rbegin(); it != items.rend(); ++it) {
-          queue.push_front(it->task_index);
-        }
-        w.leased.clear();
-        return;
-      }
-      const std::int64_t now = util::monotonic_ms();
-      w.last_signal = now;
-      w.lease_deadline = options_.lease_ms > 0 ? now + options_.lease_ms : 0;
-    };
-
-    /// Drain and apply every pending message; false on a protocol violation.
-    const auto process_lines = [&](WorkerProc& w) -> bool {
-      for (const std::string& line : w.reader.drain()) {
-        const std::optional<protocol::WorkerMessage> msg =
-            protocol::parse_worker_message(line, tasks.size());
-        if (!msg) return false;
-        w.last_signal = util::monotonic_ms();
-        switch (msg->kind) {
-          case protocol::WorkerMessage::Kind::Ready:
-            w.ready = true;
-            spawn_failures = 0;
-            gates[static_cast<std::size_t>(w.slot)] = RespawnGate{};
-            break;
-          case protocol::WorkerMessage::Kind::Heartbeat:
-            break;  // liveness is the timestamp update above
-          case protocol::WorkerMessage::Kind::Start:
-            w.inflight = msg->task_index;
-            break;
-          case protocol::WorkerMessage::Kind::Done: {
-            const std::size_t idx = msg->task_index;
-            journal.adopt(*w.journal, tasks[idx].key);
-            if (state[idx] != TaskState::Done) mark_done(idx);
-            if (w.inflight == idx) w.inflight.reset();
-            const auto it =
-                std::find(w.leased.begin(), w.leased.end(), idx);
-            if (it != w.leased.end()) w.leased.erase(it);
-            w.lease_deadline = options_.lease_ms > 0
-                                   ? w.last_signal + options_.lease_ms
-                                   : 0;
-            say(tasks[idx].key + " -> " + std::to_string(msg->count) +
-                " samples (w" + std::to_string(w.slot) + ")");
-            break;
-          }
-          case protocol::WorkerMessage::Kind::Bye:
-            w.saw_bye = true;
-            break;
-        }
-      }
-      return !w.reader.garbled();
-    };
-
-    const auto handle_death = [&](WorkerProc& w,
-                                  const util::ExitStatus& status) {
-      // Salvage first: the pipe may still hold `done` lines written before
-      // death, and the worker's journal may hold a completed entry whose
-      // `done` never made it out (killed between record and report).
-      process_lines(w);
-      for (auto it = w.leased.begin(); it != w.leased.end();) {
-        const std::size_t idx = *it;
-        if (state[idx] != TaskState::Done &&
-            w.journal->contains(tasks[idx].key)) {
-          journal.adopt(*w.journal, tasks[idx].key);
-          mark_done(idx);
-          say(tasks[idx].key + " salvaged from dead worker w" +
-              std::to_string(w.slot));
-          if (w.inflight == idx) w.inflight.reset();
-          it = w.leased.erase(it);
-        } else if (state[idx] == TaskState::Done) {
-          it = w.leased.erase(it);
-        } else {
-          ++it;
-        }
-      }
-
-      const bool clean =
-          w.saw_bye || (w.exit_sent && status.exited && status.exit_code == 0);
-      const std::string evidence =
-          !w.kill_reason.empty() ? w.kill_reason : status.describe();
-      if (!clean && w.kill_reason.empty()) ++report_.worker_crashes;
-      if (!clean && !w.ready && ++spawn_failures > kMaxSpawnFailures) {
-        throw std::runtime_error(
-            "StudySupervisor: " + std::to_string(spawn_failures) +
-            " consecutive workers died before becoming ready (last: " +
-            evidence + ")");
-      }
-
-      // Blame only the in-flight setting; the untouched rest of the lease
-      // goes back to the queue without a strike.
-      std::optional<std::size_t> blamed;
-      if (!clean && w.inflight && state[*w.inflight] != TaskState::Done) {
-        blamed = *w.inflight;
-        const auto it =
-            std::find(w.leased.begin(), w.leased.end(), *blamed);
-        if (it != w.leased.end()) w.leased.erase(it);
-      }
-      for (auto it = w.leased.rbegin(); it != w.leased.rend(); ++it) {
-        queue.push_front(*it);
-        ++report_.reassigned_settings;
-      }
-      w.leased.clear();
-      if (blamed) {
-        ++crashes[*blamed];
-        if (crashes[*blamed] >= options_.max_setting_crashes) {
-          quarantine_task(*blamed, evidence);
-        } else {
-          queue.push_front(*blamed);
-          ++report_.reassigned_settings;
-          say(tasks[*blamed].key + " reassigned (attempt " +
-              std::to_string(crashes[*blamed]) + "): " + evidence);
-        }
-      }
-      w.pid = -1;
-      w.inflight.reset();
-      w.lease_deadline = 0;
-    };
-
-    const auto kill_everything = [&] {
-      for (WorkerProc& w : pool) {
-        if (!w.alive()) continue;
-        ::kill(w.pid, SIGKILL);
-        util::wait_for(w.pid);
-        w.pid = -1;
-      }
-    };
-
-    try {
-      const std::size_t pool_size = std::min<std::size_t>(
-          static_cast<std::size_t>(options_.workers), queue.size());
-      pool.reserve(pool_size);
-      for (std::size_t slot = 0; slot < pool_size; ++slot) {
-        pool.push_back(spawn(static_cast<int>(slot)));
-      }
-
-      const std::int64_t grace_ms = options_.heartbeat_timeout_ms > 0
-                                        ? std::max<std::int64_t>(
-                                              options_.heartbeat_timeout_ms,
-                                              1000)
-                                        : 10000;
-      bool shutting_down = false;
-      std::int64_t drain_deadline = 0;
-
-      for (;;) {
-        const bool all_done =
-            report_.settings_completed == report_.settings_total;
-        if (!shutting_down &&
-            (all_done || guard.triggered() || stop_requested_.load())) {
-          shutting_down = true;
-          report_.interrupted = !all_done;
-          queue.clear();
-          for (WorkerProc& w : pool) {
-            if (!w.alive()) continue;
-            w.exit_sent = true;
-            util::write_all(w.cmd.write_fd, protocol::format_exit());
-          }
-          drain_deadline = util::monotonic_ms() + grace_ms;
-          if (report_.interrupted) {
-            say("study interrupted: draining workers (completed " +
-                std::to_string(report_.settings_completed) + "/" +
-                std::to_string(report_.settings_total) + ")");
-          }
-        }
-        if (shutting_down &&
-            std::none_of(pool.begin(), pool.end(),
-                         [](const WorkerProc& w) { return w.alive(); })) {
-          break;
-        }
-
-        if (!shutting_down) {
-          for (WorkerProc& w : pool) {
-            if (w.alive() && w.ready && !w.exit_sent && w.leased.empty()) {
-              grant_lease(w);
-            }
-          }
-        }
-
-        std::vector<struct pollfd> fds;
-        fds.push_back({guard.wake_fd(), POLLIN, 0});
-        for (const WorkerProc& w : pool) {
-          if (w.alive() && !w.reader.eof()) {
-            fds.push_back({w.reader.fd(), POLLIN, 0});
-          }
-        }
-        ::poll(fds.data(), fds.size(), kPollIntervalMs);
-        // Drain the wake pipe so a delivered signal does not turn the poll
-        // loop into a busy spin (the triggered() flag is authoritative).
-        char sink[64];
-        while (::read(guard.wake_fd(), sink, sizeof(sink)) > 0) {
-        }
-
-        for (WorkerProc& w : pool) {
-          if (!w.alive()) continue;
-          if (!process_lines(w)) {
-            ++report_.protocol_errors;
-            kill_worker(w, "garbled result stream (protocol violation)");
-          }
-        }
-
-        for (WorkerProc& w : pool) {
-          if (!w.alive()) continue;
-          if (const std::optional<util::ExitStatus> status =
-                  util::try_wait(w.pid)) {
-            const std::size_t slot = static_cast<std::size_t>(w.slot);
-            handle_death(w, *status);
-            if (!shutting_down) {
-              // Do NOT respawn immediately: a persistently crashing
-              // environment would hot-loop fork(). Schedule the replacement
-              // behind the slot's backoff gate instead.
-              RespawnGate& gate = gates[slot];
-              ++gate.streak;
-              const std::int64_t delay =
-                  options_.respawn_backoff.next_delay_ms(
-                      options_.seed, "w" + std::to_string(slot), gate.streak,
-                      gate.prev_delay);
-              gate.prev_delay = delay;
-              gate.eligible_at = util::monotonic_ms() + delay;
-              ++report_.respawn_waits;
-              report_.respawn_backoff_ms += delay;
-            }
-          }
-        }
-
-        if (!shutting_down && !queue.empty()) {
-          const std::int64_t spawn_now = util::monotonic_ms();
-          for (std::size_t slot = 0; slot < pool.size(); ++slot) {
-            if (pool[slot].alive()) continue;
-            if (spawn_now < gates[slot].eligible_at) continue;
-            pool[slot] = spawn(static_cast<int>(slot));
-            ++report_.respawns;
-          }
-        }
-
-        const std::int64_t now = util::monotonic_ms();
-        for (WorkerProc& w : pool) {
-          if (!w.alive()) continue;
-          // Idle ready workers are parked on a blocking command read; only
-          // a worker that owes us progress is held to the heartbeat clock.
-          const bool owes_progress =
-              !w.ready || !w.leased.empty() || w.exit_sent;
-          if (options_.heartbeat_timeout_ms > 0 && owes_progress &&
-              now - w.last_signal > options_.heartbeat_timeout_ms &&
-              w.kill_reason.empty()) {
-            ++report_.hang_kills;
-            kill_worker(w, "no heartbeat for " +
-                               std::to_string(now - w.last_signal) +
-                               "ms (hung)");
-            continue;
-          }
-          if (w.lease_deadline > 0 && !w.leased.empty() &&
-              now > w.lease_deadline && w.kill_reason.empty()) {
-            ++report_.lease_expiries;
-            kill_worker(w, "lease expired after " +
-                               std::to_string(options_.lease_ms) + "ms");
-            continue;
-          }
-          if (shutting_down && now > drain_deadline &&
-              w.kill_reason.empty()) {
-            kill_worker(w, "shutdown grace period expired");
-          }
-        }
-      }
-    } catch (...) {
-      kill_everything();
-      throw;
-    }
-  } else {
-    report_.interrupted = false;
+  // -- worker fleet -----------------------------------------------------------
+  const auto worker_dir = [&](int slot) {
+    return util::path_join(workers_root, "w" + std::to_string(slot));
+  };
+  // Parent-side worker journals exist (directory created, stale temp files
+  // cleared) BEFORE any fork, so cleanup can never race a child's write.
+  const int workers = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(options_.workers), queue.size()));
+  std::vector<std::unique_ptr<StudyJournal>> worker_journals;
+  for (int slot = 0; slot < workers; ++slot) {
+    worker_journals.push_back(std::make_unique<StudyJournal>(worker_dir(slot)));
   }
+
+  FleetOptions fleet_options;
+  fleet_options.name = "StudySupervisor";
+  fleet_options.noun = "workers";
+  fleet_options.slot_prefix = "w";
+  fleet_options.processes = workers;
+  fleet_options.item_count = tasks.size();
+  fleet_options.heartbeat_timeout_ms = options_.heartbeat_timeout_ms;
+  fleet_options.heartbeat_interval_ms = options_.heartbeat_interval_ms;
+  fleet_options.lease_ms = options_.lease_ms;
+  fleet_options.respawn_backoff = options_.respawn_backoff;
+  fleet_options.seed = options_.seed;
+
+  FleetHooks hooks;
+  hooks.child_main = [&](int slot, LeaseLink& link) {
+    collect_settings(link, worker_dir(slot), tasks, options_, make_runner_);
+  };
+  hooks.next_lease = [&](int) {
+    std::vector<protocol::LeaseItem> items;
+    while (!queue.empty() && items.size() < options_.shard_size) {
+      const std::size_t idx = queue.front();
+      queue.pop_front();
+      if (state[idx] != TaskState::Done) {
+        items.push_back(protocol::LeaseItem{idx, crashes[idx]});
+      }
+    }
+    return items;
+  };
+  hooks.on_done = [&](int slot, std::size_t idx, std::uint64_t count) {
+    journal.adopt(*worker_journals[static_cast<std::size_t>(slot)],
+                  tasks[idx].key);
+    if (state[idx] != TaskState::Done) mark_done(idx);
+    say(tasks[idx].key + " -> " + std::to_string(count) + " samples (w" +
+        std::to_string(slot) + ")");
+  };
+  hooks.on_death = [&](const FleetDeath& death) {
+    // Salvage before blame: the worker's journal may hold a completed entry
+    // whose `done` never made it out (killed between record and report).
+    // Only the in-flight setting of an unclean death is charged; the
+    // untouched rest of the lease goes back to the queue without a strike.
+    const StudyJournal& own =
+        *worker_journals[static_cast<std::size_t>(death.slot)];
+    std::optional<std::size_t> blamed;
+    std::vector<std::size_t> requeue;
+    for (const std::size_t idx : death.leased) {
+      if (state[idx] == TaskState::Done) continue;
+      if (own.contains(tasks[idx].key)) {
+        journal.adopt(own, tasks[idx].key);
+        mark_done(idx);
+        say(tasks[idx].key + " salvaged from dead worker w" +
+            std::to_string(death.slot));
+      } else if (!death.clean && death.inflight == idx) {
+        blamed = idx;
+      } else {
+        requeue.push_back(idx);
+      }
+    }
+    for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
+      queue.push_front(*it);
+      ++report_.reassigned_settings;
+    }
+    if (!blamed) return;
+    ++crashes[*blamed];
+    if (crashes[*blamed] >= options_.max_setting_crashes) {
+      quarantine_task(*blamed, death.evidence);
+    } else {
+      queue.push_front(*blamed);
+      ++report_.reassigned_settings;
+      say(tasks[*blamed].key + " reassigned (attempt " +
+          std::to_string(crashes[*blamed]) + "): " + death.evidence);
+    }
+  };
+  hooks.finished = [&] {
+    return report_.settings_completed == report_.settings_total;
+  };
+  hooks.pending = [&] { return !queue.empty(); };
+  hooks.on_interrupt = [&] {
+    say("study interrupted: draining workers (completed " +
+        std::to_string(report_.settings_completed) + "/" +
+        std::to_string(report_.settings_total) + ")");
+  };
+
+  Fleet fleet(std::move(fleet_options), std::move(hooks), stop_requested_);
+  report_.interrupted = fleet.run();
+  const FleetCounters& counters = fleet.counters();
+  report_.worker_crashes = counters.crashes;
+  report_.hang_kills = counters.hang_kills;
+  report_.lease_expiries = counters.lease_expiries;
+  report_.protocol_errors = counters.protocol_errors;
+  report_.respawns = counters.respawns;
+  report_.respawn_waits = counters.respawn_waits;
+  report_.respawn_backoff_ms = counters.respawn_backoff_ms;
 
   // -- assembly ---------------------------------------------------------------
   // Tasks are loaded in flatten_plan order — the single-process run_study

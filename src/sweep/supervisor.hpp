@@ -5,23 +5,19 @@
 // The single-process harness executes every sample in its own address
 // space, so one crashing or wedged sample kills the whole journaled study.
 // StudySupervisor contains faults at the process boundary instead: it
-// forks a pool of workers, leases each one a shard of the plan's settings,
-// and watches three liveness signals —
-//
-//   - crashes:   waitpid status (exit code / termination signal),
-//   - hangs:     progress heartbeats missed past heartbeat_timeout_ms,
-//   - stalls:    lease deadlines expired without the shard completing —
-//
-// reclaiming and reassigning the shard on any of them. A setting whose
-// collection has crashed max_setting_crashes workers is declared poisonous
-// and quarantined with its evidence (signal number, timeout) recorded on
-// every placeholder sample, so the study still completes and the report
-// says why the data is missing. Completed settings travel through
-// per-worker crash-safe journals that the supervisor adopts into the main
-// journal (a same-filesystem rename) the moment `done` arrives — the study
-// is therefore resumable across supervisor death exactly like the
-// single-process journaled run, and the assembled dataset is byte-identical
-// to an undisturbed one: process death can duplicate work, never samples.
+// leases shards of the plan's settings to a fleet of forked workers
+// (sweep/fleet.hpp owns fork, heartbeats, lease deadlines, kills, reaping
+// and respawn pacing) and keeps only the setting policy. A dead worker's
+// in-flight setting is charged a crash; a setting whose collection has
+// crashed max_setting_crashes workers is declared poisonous and quarantined
+// with its evidence (signal number, timeout) recorded on every placeholder
+// sample, so the study still completes and the report says why the data is
+// missing. Completed settings travel through per-worker crash-safe journals
+// that the supervisor adopts into the main journal (a same-filesystem
+// rename) the moment `done` arrives — the study is therefore resumable
+// across supervisor death exactly like the single-process journaled run,
+// and the assembled dataset is byte-identical to an undisturbed one:
+// process death can duplicate work, never samples.
 //
 // SIGINT/SIGTERM drain gracefully: leases stop, workers finish their
 // in-flight setting and exit, journals are already flushed (write-ahead),
@@ -77,7 +73,7 @@ struct SupervisorOptions {
   /// streak gates its replacement behind exponential backoff with
   /// decorrelated jitter (deterministic per seed/slot/streak), so a
   /// persistently crashing environment cannot hot-loop fork(). The streak
-  /// resets on a successful `ready` handshake. Shared with the coordinator.
+  /// resets on a successful `ready` handshake.
   BackoffPolicy respawn_backoff;
   std::function<void(const std::string&)> progress;
 };

@@ -1,14 +1,6 @@
 #include "sweep/worker.hpp"
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdlib>
-
 #include "arch/cpu_arch.hpp"
-#include "sweep/journal.hpp"
-#include "util/process.hpp"
 
 namespace omptune::sweep {
 
@@ -154,144 +146,6 @@ std::vector<SettingTask> flatten_plan(const StudyPlan& plan) {
     }
   }
   return tasks;
-}
-
-// ---- worker main ------------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void apply_chaos(sim::ChaosAction action, int result_fd) {
-  switch (action) {
-    case sim::ChaosAction::Kill:
-      ::raise(SIGKILL);
-      break;
-    case sim::ChaosAction::Segv:
-      ::raise(SIGSEGV);
-      break;
-    case sim::ChaosAction::Wedge:
-      // Stop making progress but stay alive: heartbeats cease, the pipe
-      // stays open — only the supervisor's liveness checks can reap us.
-      for (;;) ::pause();
-    case sim::ChaosAction::Garble: {
-      util::write_all(result_fd, "\x01\x02 this is not the protocol \xff\n");
-      // Keep "working": the supervisor must kill us on the garbage, we
-      // must not conveniently exit on our own.
-      for (;;) ::pause();
-    }
-    case sim::ChaosAction::None:
-      break;
-  }
-  // raise(SIGKILL/SIGSEGV) does not return control here under normal
-  // delivery; if a sanitizer or blocked signal interferes, die loudly.
-  ::_exit(13);
-}
-
-}  // namespace
-
-void worker_main(const WorkerConfig& config,
-                 const std::vector<SettingTask>& tasks,
-                 const RunnerFactory& make_runner) {
-  util::die_with_parent();
-  // Shutdown is coordinated over the command pipe; a terminal SIGINT aimed
-  // at the process group must not take workers down mid-journal-write.
-  ::signal(SIGINT, SIG_IGN);
-  ::signal(SIGTERM, SIG_IGN);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  try {
-    StudyJournal journal(config.journal_dir);
-    std::unique_ptr<sim::Runner> runner = make_runner();
-    SweepHarness harness(*runner, config.repetitions, config.seed);
-    std::unique_ptr<ResiliencePolicy> policy;
-    if (config.resilient) {
-      policy = std::make_unique<ResiliencePolicy>(config.resilience);
-    }
-    const sim::ChaosMonkey monkey(config.chaos);
-    util::BlockingLineReader commands(config.command_fd);
-
-    // Observer state: which setting is in flight and how far along it is,
-    // for heartbeats and deterministic chaos draws.
-    std::string current_key;
-    int current_attempt = 0;
-    std::uint64_t samples_in_setting = 0;
-    std::uint64_t total_samples = 0;
-    std::int64_t last_heartbeat = util::monotonic_ms();
-
-    harness.set_sample_observer([&] {
-      ++samples_in_setting;
-      ++total_samples;
-      const sim::ChaosAction action =
-          monkey.draw(current_key, current_attempt, samples_in_setting);
-      if (action != sim::ChaosAction::None) {
-        apply_chaos(action, config.result_fd);
-      }
-      const std::int64_t now = util::monotonic_ms();
-      if (now - last_heartbeat >= config.heartbeat_interval_ms) {
-        last_heartbeat = now;
-        if (!util::write_all(config.result_fd,
-                             protocol::format_heartbeat(total_samples))) {
-          ::_exit(0);  // supervisor gone; nothing left to report to
-        }
-      }
-    });
-
-    if (!util::write_all(config.result_fd, protocol::format_ready())) {
-      ::_exit(0);
-    }
-
-    for (;;) {
-      const std::optional<std::string> line = commands.next();
-      if (!line) ::_exit(0);  // command pipe EOF: supervisor is gone
-      const std::optional<protocol::Command> command =
-          protocol::parse_command(*line, tasks.size());
-      if (!command) ::_exit(12);  // a garbled supervisor is unrecoverable
-      if (command->kind == protocol::Command::Kind::Exit) {
-        util::write_all(config.result_fd, protocol::format_bye());
-        ::_exit(0);
-      }
-      for (const protocol::LeaseItem& item : command->items) {
-        // Drain: between settings, a pending `exit` abandons the rest of
-        // the lease (the supervisor requeues it) so shutdown never waits
-        // for a whole shard.
-        if (const std::optional<std::string> pending = commands.poll_line()) {
-          const std::optional<protocol::Command> interrupt =
-              protocol::parse_command(*pending, tasks.size());
-          if (interrupt && interrupt->kind == protocol::Command::Kind::Exit) {
-            util::write_all(config.result_fd, protocol::format_bye());
-            ::_exit(0);
-          }
-          ::_exit(12);  // a second lease mid-lease is a supervisor bug
-        }
-        if (commands.eof()) ::_exit(0);
-
-        const SettingTask& task = tasks[item.task_index];
-        current_key = task.key;
-        current_attempt = item.attempt;
-        samples_in_setting = 0;
-        if (!util::write_all(config.result_fd,
-                             protocol::format_start(item.task_index))) {
-          ::_exit(0);
-        }
-        const arch::CpuArch& cpu = arch::architecture(task.arch);
-        const Dataset batch = harness.run_setting(
-            cpu, task.setting, task.config_count, policy.get());
-        // Journal BEFORE reporting: `done` is a promise that the entry is
-        // durably on disk in this worker's journal.
-        journal.record(task.key, batch);
-        if (!util::write_all(
-                config.result_fd,
-                protocol::format_done(item.task_index, batch.size()))) {
-          ::_exit(0);
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // Anything escaping the measurement stack (runner construction, journal
-    // I/O) is a worker casualty: die with a distinct code, the supervisor
-    // requeues the lease and blames the in-flight setting.
-    ::_exit(11);
-  }
-  ::_exit(0);
 }
 
 }  // namespace omptune::sweep

@@ -1,13 +1,14 @@
 #pragma once
 
-// Worker side of the process-isolated study supervisor.
+// The fleet wire protocol, and the plan's leasable work units.
 //
-// A worker is a forked child of the supervisor that executes leased
-// settings in its own address space: a sample that segfaults, wedges, or
-// corrupts memory takes down one worker, never the study. The two sides
-// speak a line-oriented pipe protocol:
+// Both collection front-ends run forked children over one process fleet
+// (sweep/fleet.hpp) and speak this line protocol with them: the study
+// supervisor (§9) leases settings to workers, with task index = position in
+// flatten_plan; the coordinator (§11) leases shard manifests to host agents,
+// with task index = shard number.
 //
-//   supervisor -> worker      worker -> supervisor
+//   parent -> child           child -> parent
 //   ------------------        -----------------------
 //   lease N i:a i:a ...       ready
 //   exit                      hb <total-samples>
@@ -16,16 +17,15 @@
 //                             bye
 //
 // Each lease item is "<task index>:<attempt>", attempt being the number of
-// workers this setting has already crashed — the chaos monkey keys its
-// deterministic draws on it, so a reassigned setting does not replay the
-// exact fault that killed its previous owner. The worker journals every
-// completed setting into its private journal directory BEFORE reporting
-// `done`; results therefore travel through the crash-safe journal (atomic
-// rename, directory fsync), and the pipe carries only control traffic.
-// Heartbeats are progress signals emitted from the harness's sample
-// observer, not from a timer thread: a wedged measurement stops the
-// heartbeat stream, which is exactly what lets the supervisor tell a hung
-// worker from a slow one.
+// failures already charged to that item — the chaos monkey keys its
+// deterministic draws on it, so a re-leased item does not replay the exact
+// fault that killed its previous owner. A child makes each item durable
+// BEFORE reporting `done` (a worker journals the setting; an agent publishes
+// the shard store), so results travel through crash-safe files and the pipe
+// carries only control traffic. Heartbeats are progress signals emitted from
+// the harness's sample observer, not from a timer thread: a wedged
+// measurement stops the heartbeat stream, which is exactly what lets the
+// parent tell a hung child from a slow one.
 
 #include <cstdint>
 #include <functional>
@@ -35,9 +35,7 @@
 #include <vector>
 
 #include "sim/executor.hpp"
-#include "sim/fault_runner.hpp"
 #include "sweep/harness.hpp"
-#include "sweep/resilience.hpp"
 
 namespace omptune::sweep {
 
@@ -54,41 +52,21 @@ struct SettingTask {
 /// assembled dataset byte-identical).
 std::vector<SettingTask> flatten_plan(const StudyPlan& plan);
 
-/// Creates the runner a worker measures with. Invoked in the CHILD after
-/// fork, so stateful runners are never shared across processes.
+/// Creates the runner a child measures with. Invoked in the CHILD after
+/// fork, once before `ready`, so stateful runners are never shared across
+/// processes.
 using RunnerFactory = std::function<std::unique_ptr<sim::Runner>()>;
 
-/// Everything a forked worker needs; plain data so fork inheritance is the
-/// only transport required.
-struct WorkerConfig {
-  int command_fd = -1;  ///< read end: supervisor commands
-  int result_fd = -1;   ///< write end: ready/hb/start/done/bye
-  int slot = 0;         ///< stable pool slot (names the journal directory)
-  std::string journal_dir;  ///< this worker's private journal directory
-  int repetitions = 4;
-  std::uint64_t seed = 0;
-  bool resilient = true;
-  ResilienceOptions resilience;
-  sim::ChaosSpec chaos;
-  std::int64_t heartbeat_interval_ms = 25;
-};
-
-/// Worker entry point; never returns (terminates with _exit so the child
-/// skips the supervisor's atexit/leak machinery it inherited via fork).
-[[noreturn]] void worker_main(const WorkerConfig& config,
-                              const std::vector<SettingTask>& tasks,
-                              const RunnerFactory& make_runner);
-
 // ---- wire protocol ----------------------------------------------------------
-// Exposed (rather than buried in worker.cpp) so the supervisor and the
-// tests parse/format messages with the same code, and so garbled-input
-// handling is unit-testable without forking anything.
+// Exposed so the fleet's two ends and the tests parse/format messages with
+// the same code, and so garbled-input handling is unit-testable without
+// forking anything.
 
 namespace protocol {
 
 struct LeaseItem {
   std::size_t task_index = 0;
-  int attempt = 0;  ///< prior crash count of this setting
+  int attempt = 0;  ///< failures already charged to this item
 };
 
 struct Command {

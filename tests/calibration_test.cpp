@@ -1,11 +1,16 @@
 // CalibrationTable tests: the fallback table must reproduce the historical
 // perf-model constants bit-for-bit (default model == fallback model ==
 // checked-in docs/calibration/fallback.cal), serialization must round-trip
-// exactly, and foreign/corrupt tables must be rejected loudly.
+// exactly, foreign/corrupt tables must be rejected loudly, and a failed
+// save must leave the previous table intact.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +20,8 @@
 #include "rt/calibration.hpp"
 #include "rt/config.hpp"
 #include "sim/perf_model.hpp"
+#include "util/errors.hpp"
+#include "util/io_hooks.hpp"
 
 #ifndef OMPTUNE_REPO_DIR
 #define OMPTUNE_REPO_DIR "."
@@ -141,6 +148,34 @@ TEST(CalibrationTable, MeasuredTableActuallyChangesPredictions) {
   config.blocktime_ms = 0;  // passive: the scaled term is live
   EXPECT_GT(tuned.predict(app, app.default_input(), cpu, config),
             plain.predict(app, app.default_input(), cpu, config));
+}
+
+/// Fails every write(2) with ENOSPC, as a full disk would.
+class FullDisk : public util::IoHooks {
+ public:
+  int before(const util::IoSite& site) override {
+    return site.op == util::IoOp::Write ? ENOSPC : 0;
+  }
+};
+
+TEST(CalibrationTable, FailedSaveLeavesThePreviousTableIntact) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("omptune_test_calibration_" + std::to_string(::getpid()) + ".cal"))
+          .string();
+  rt::CalibrationTable previous = rt::CalibrationTable::fallback();
+  previous.barrier_phase_us["central.t4"] = 1.25;
+  previous.save(path);
+
+  rt::CalibrationTable next = previous;
+  next.region_passive_per_thread_us *= 2.0;
+  {
+    FullDisk full;
+    util::ScopedIoHooks scope(&full);
+    EXPECT_THROW(next.save(path), util::StorageError);
+  }
+  EXPECT_TRUE(rt::CalibrationTable::load(path) == previous);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -134,7 +134,6 @@ TEST(LeaseTable, SerializeParseRoundTripDropsLiveLeases) {
   LeaseTable table(4);
   table.at(0).state = ShardState::Completed;
   table.at(1).state = ShardState::Leased;  // must come back as Pending
-  table.at(1).holder = 2;
   table.at(1).attempts = 1;
   table.at(2).state = ShardState::Quarantined;
   table.at(2).attempts = 5;
@@ -144,7 +143,6 @@ TEST(LeaseTable, SerializeParseRoundTripDropsLiveLeases) {
   ASSERT_EQ(parsed.size(), 4u);
   EXPECT_EQ(parsed.at(0).state, ShardState::Completed);
   EXPECT_EQ(parsed.at(1).state, ShardState::Pending);
-  EXPECT_EQ(parsed.at(1).holder, -1);
   EXPECT_EQ(parsed.at(1).attempts, 1);
   EXPECT_EQ(parsed.at(2).state, ShardState::Quarantined);
   EXPECT_EQ(parsed.at(2).attempts, 5);

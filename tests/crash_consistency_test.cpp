@@ -420,24 +420,18 @@ std::vector<std::string> lease_checkpoints() {
                           table.serialize());
   };
   table.at(0).state = sweep::ShardState::Leased;
-  table.at(0).holder = 0;
   checkpoint();
   table.at(0).state = sweep::ShardState::Completed;
-  table.at(0).holder = -1;
   checkpoint();
   table.at(1).state = sweep::ShardState::Leased;
-  table.at(1).holder = 1;
   checkpoint();
   table.at(1).state = sweep::ShardState::Pending;
-  table.at(1).holder = -1;
   table.at(1).attempts = 1;
   table.at(1).evidence = "worker died";
   checkpoint();
   table.at(1).state = sweep::ShardState::Leased;
-  table.at(1).holder = 0;
   checkpoint();
   table.at(1).state = sweep::ShardState::Completed;
-  table.at(1).holder = -1;
   checkpoint();
   table.at(2).state = sweep::ShardState::Quarantined;
   table.at(2).attempts = 3;
@@ -525,11 +519,9 @@ Workload coordinator_workload() {
         continue;  // resumed: the WAL and the store agree
       }
       table.at(i).state = sweep::ShardState::Leased;
-      table.at(i).holder = 0;
       save_state();
       if (!store_valid) small_dataset(200 + i).save_store(store_path);
       table.at(i).state = sweep::ShardState::Completed;
-      table.at(i).holder = -1;
       save_state();
     }
   };

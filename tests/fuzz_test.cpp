@@ -369,7 +369,6 @@ TEST_P(ReadPathBitRotFuzz, LeaseTableStateParsesOrRejectsTypedUnderBitRot) {
   table.at(1).attempts = 3;
   table.at(1).evidence = "host crashed repeatedly";
   table.at(2).state = sweep::ShardState::Leased;
-  table.at(2).holder = 1;
   util::atomic_write_file(state, table.serialize());
 
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
