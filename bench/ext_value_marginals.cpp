@@ -5,6 +5,7 @@
 
 #include "analysis/marginals.hpp"
 #include "bench_common.hpp"
+#include "store/reader.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -13,7 +14,8 @@ int main() {
   bench::print_header("EXTENSION", "Marginal speedup per variable value");
 
   const auto result = bench::run_full_study();
-  const auto marginals = analysis::value_marginals(result.dataset);
+  const auto marginals =
+      analysis::value_marginals(store::StoreReader(result.dataset));
 
   for (const char* arch : {"a64fx", "milan", "skylake"}) {
     util::TextTable table(std::string("architecture: ") + arch,

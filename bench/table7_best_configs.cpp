@@ -4,6 +4,7 @@
 
 #include "analysis/recommend.hpp"
 #include "bench_common.hpp"
+#include "store/reader.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -12,10 +13,11 @@ int main() {
   bench::print_header("TABLE VII", "Best performing environment variables and values");
 
   const auto result = bench::run_full_study();
+  const store::StoreReader image(result.dataset);
 
   util::TextTable table("", {"App", "Arch", "Variable", "Value", "lift", "share"});
   for (const char* app : {"nqueens", "cg"}) {
-    const auto recs = analysis::recommend_for_app(result.dataset, app);
+    const auto recs = analysis::recommend_for_app(image, app);
     int shown = 0;
     for (const auto& rec : recs) {
       // Keep the table compact: the strongest few rows per scope.

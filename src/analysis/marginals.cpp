@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/variables.hpp"
+#include "stats/descriptive.hpp"
 #include "store/reader.hpp"
 #include "util/thread_pool.hpp"
 
@@ -123,23 +124,6 @@ class Accumulator {
 };
 
 }  // namespace
-
-std::vector<MarginalRow> value_marginals(const sweep::Dataset& dataset,
-                                         bool per_arch) {
-  std::vector<std::string> archs;
-  if (!per_arch) archs = {"all"};
-  Accumulator groups;
-  for (const sweep::Sample& s : dataset.samples()) {
-    std::size_t arch = 0;
-    if (per_arch) {
-      arch = static_cast<std::size_t>(
-          std::find(archs.begin(), archs.end(), s.arch) - archs.begin());
-      if (arch == archs.size()) archs.push_back(s.arch);
-    }
-    groups.add(arch, s.config, s.speedup);
-  }
-  return std::move(groups).rows(archs, nullptr);
-}
 
 std::vector<MarginalRow> value_marginals(const store::StoreReader& reader,
                                          bool per_arch,

@@ -9,9 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/descriptive.hpp"
-#include "sweep/dataset.hpp"
-
 namespace omptune::store {
 class StoreReader;
 }
@@ -32,16 +29,12 @@ struct MarginalRow {
   double optimal_share = 0;    ///< fraction with speedup > 1.01
 };
 
-/// Per-(arch, variable, value) speedup summaries. `per_arch` false pools
-/// the architectures into "all" rows.
-std::vector<MarginalRow> value_marginals(const sweep::Dataset& dataset,
-                                         bool per_arch = true);
-
-/// Scan-based variant aggregating off the store's column slices. Skips
-/// quarantined rows, so it equals the Dataset overload applied to
-/// dataset.ok_samples() — the form every analysis consumer uses. The group
-/// gather merges per-chunk partials in run order and the per-group stats
-/// are independent, so the result is identical at any thread count.
+/// Per-(arch, variable, value) speedup summaries over the non-quarantined
+/// rows, aggregated off the store's setting slices; `per_arch` false pools
+/// the architectures into "all" rows. A sweep::Dataset is summarised through
+/// store::StoreReader(dataset). The group gather merges per-chunk partials
+/// in run order and the per-group stats are independent, so the result is
+/// identical at any thread count.
 std::vector<MarginalRow> value_marginals(const store::StoreReader& reader,
                                          bool per_arch = true,
                                          const util::ThreadPool* pool = nullptr);

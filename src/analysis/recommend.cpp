@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "analysis/speedup.hpp"
 #include "analysis/variables.hpp"
 #include "stats/descriptive.hpp"
 #include "store/reader.hpp"
@@ -24,8 +23,8 @@ struct ArchCounts {
   std::size_t n_total = 0;
 };
 
-/// Assemble recommendations from per-arch counts — the shared back half of
-/// both recommend_for_app overloads. `archs` is in first-appearance order.
+/// Assemble recommendations from per-arch counts, the back half of
+/// recommend_for_app. `archs` is in first-appearance order.
 std::vector<Recommendation> recommendations_from_counts(
     const std::string& app, const std::vector<std::string>& archs,
     const std::map<std::string, ArchCounts>& by_arch, double min_lift) {
@@ -82,43 +81,6 @@ std::vector<Recommendation> recommendations_from_counts(
 
 }  // namespace
 
-std::vector<Recommendation> recommend_for_app(const sweep::Dataset& dataset,
-                                              const std::string& app,
-                                              double tolerance,
-                                              double min_lift) {
-  const sweep::Dataset app_data =
-      dataset.filter([&app](const sweep::Sample& s) { return s.app == app; });
-
-  // Per-setting best speedups, to define "near-best".
-  std::map<std::string, double> setting_best;
-  auto setting_key = [](const sweep::Sample& s) {
-    return s.arch + "/" + s.input + "/" + std::to_string(s.threads);
-  };
-  for (const sweep::Sample& s : app_data.samples()) {
-    double& best = setting_best[setting_key(s)];
-    best = std::max(best, s.speedup);
-  }
-
-  const std::vector<std::string> archs =
-      app_data.distinct([](const sweep::Sample& s) { return s.arch; });
-
-  std::map<std::string, ArchCounts> by_arch;
-  for (const sweep::Sample& s : app_data.samples()) {
-    ArchCounts& counts = by_arch[s.arch];
-    ++counts.n_total;
-    const bool near_best =
-        s.speedup >= setting_best.at(setting_key(s)) * (1.0 - tolerance) &&
-        s.speedup > 1.01;
-    for (const auto& vv : config_variable_values(s.config)) {
-      ++counts.overall[vv];
-      if (near_best) ++counts.best[vv];
-    }
-    if (near_best) ++counts.n_best;
-  }
-
-  return recommendations_from_counts(app, archs, by_arch, min_lift);
-}
-
 std::vector<Recommendation> recommend_for_app(const store::StoreReader& store,
                                               const std::string& app,
                                               double tolerance,
@@ -128,9 +90,9 @@ std::vector<Recommendation> recommend_for_app(const store::StoreReader& store,
   const std::size_t runs = store.setting_count();
 
   // Pass 1: per-(arch, input, threads) best speedup over every sample of
-  // the app — quarantined placeholders included, exactly like the Dataset
-  // walk (their speedup of 0 never wins, and never passes the >1.01 gate
-  // below either). Also collects the architectures in run (= row) order.
+  // the app — quarantined placeholders included (their speedup of 0 never
+  // wins, and never passes the >1.01 gate below either). Also collects the
+  // architectures in run (= row) order.
   struct Pass1 {
     std::map<std::string, double> setting_best;
     std::vector<std::string> arch_order;

@@ -33,16 +33,11 @@ struct Recommendation {
 /// (within `tolerance` of the setting's best speedup) for one application.
 /// Returns per-arch recommendations, plus "all"-scoped entries for values
 /// dominant on every architecture (e.g. NQueens: KMP_LIBRARY=turnaround).
-std::vector<Recommendation> recommend_for_app(const sweep::Dataset& dataset,
-                                              const std::string& app,
-                                              double tolerance = 0.01,
-                                              double min_lift = 1.3);
-
-/// Store-backed variant: aggregates `app`'s rows straight off the store's
-/// zero-copy setting slices — no Sample materialization, and the other
-/// applications' runtime blocks are never touched. Settings scan in
-/// parallel on `pool`; per-chunk counts merge in run order, so the result
-/// is identical to the Dataset overload at any thread count.
+/// Aggregates `app`'s rows straight off the store's zero-copy setting
+/// slices — the other applications' runtime blocks are never touched; a
+/// sweep::Dataset is read through store::StoreReader(dataset). Settings
+/// scan in parallel on `pool`; per-chunk counts merge in run order, so the
+/// result is identical at any thread count.
 std::vector<Recommendation> recommend_for_app(const store::StoreReader& store,
                                               const std::string& app,
                                               double tolerance = 0.01,

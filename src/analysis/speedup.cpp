@@ -1,7 +1,6 @@
 #include "analysis/speedup.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "stats/descriptive.hpp"
@@ -18,7 +17,7 @@ std::string setting_key(const std::string& arch, const std::string& app,
 }
 
 /// Best non-quarantined row of one index run (run-relative), strictly-greater
-/// replacement so the earliest of tied rows wins — the Dataset walk's rule.
+/// replacement so the earliest of tied rows wins.
 struct RunBest {
   bool any = false;
   double speedup = 0;
@@ -40,37 +39,6 @@ RunBest run_best(const store::SettingSlice& slice) {
 
 }  // namespace
 
-std::vector<SettingBest> best_per_setting(const sweep::Dataset& dataset) {
-  std::map<std::string, SettingBest> by_setting;
-  std::vector<std::string> order;
-  for (const sweep::Sample& s : dataset.samples()) {
-    // Quarantined samples carry placeholder runtimes/speedups, not
-    // measurements — they must not seed or win a setting's best.
-    if (s.is_quarantined()) continue;
-    const std::string key = s.arch + "/" + s.app + "/" + s.input + "/" +
-                            std::to_string(s.threads);
-    auto it = by_setting.find(key);
-    if (it == by_setting.end()) {
-      order.push_back(key);
-      SettingBest best;
-      best.arch = s.arch;
-      best.app = s.app;
-      best.input = s.input;
-      best.threads = s.threads;
-      best.best_speedup = s.speedup;
-      best.best_config = s.config;
-      by_setting.emplace(key, std::move(best));
-    } else if (s.speedup > it->second.best_speedup) {
-      it->second.best_speedup = s.speedup;
-      it->second.best_config = s.config;
-    }
-  }
-  std::vector<SettingBest> out;
-  out.reserve(order.size());
-  for (const std::string& key : order) out.push_back(by_setting.at(key));
-  return out;
-}
-
 std::vector<SettingBest> best_per_setting(const store::StoreReader& reader,
                                           const util::ThreadPool* pool) {
   reader.ensure_scan_validated();
@@ -83,8 +51,8 @@ std::vector<SettingBest> best_per_setting(const store::StoreReader& reader,
                        }
                      });
   // Fold runs sharing a key in run (= first-appearance) order. Strictly-
-  // greater replacement again, so an earlier run keeps a tie — exactly what
-  // the row-ordered Dataset walk does.
+  // greater replacement again, so an earlier run keeps a tie: the best is
+  // the earliest row holding the setting's maximum.
   std::vector<SettingBest> out;
   std::map<std::string, std::size_t> index_of;
   for (std::size_t r = 0; r < runs; ++r) {
@@ -111,13 +79,17 @@ std::vector<SettingBest> best_per_setting(const store::StoreReader& reader,
   return out;
 }
 
-std::vector<ArchAppRange> speedup_ranges_by_arch(const sweep::Dataset& dataset) {
-  return speedup_ranges_by_arch(best_per_setting(dataset));
-}
-
-std::vector<ArchAppRange> speedup_ranges_by_arch(
-    const store::StoreReader& reader, const util::ThreadPool* pool) {
-  return speedup_ranges_by_arch(best_per_setting(reader, pool));
+PairBests best_per_pair(const std::vector<SettingBest>& bests,
+                        const std::string* arch) {
+  PairBests out;
+  for (const SettingBest& best : bests) {
+    if (arch != nullptr && best.arch != *arch) continue;
+    const auto [it, inserted] = out.try_emplace({best.app, best.arch}, best);
+    if (!inserted && best.best_speedup > it->second.best_speedup) {
+      it->second = best;
+    }
+  }
+  return out;
 }
 
 std::vector<ArchAppRange> speedup_ranges_by_arch(
@@ -144,15 +116,6 @@ std::vector<ArchAppRange> speedup_ranges_by_arch(
   return out;
 }
 
-std::vector<AppRange> speedup_ranges_by_app(const sweep::Dataset& dataset) {
-  return speedup_ranges_by_app(best_per_setting(dataset));
-}
-
-std::vector<AppRange> speedup_ranges_by_app(const store::StoreReader& reader,
-                                            const util::ThreadPool* pool) {
-  return speedup_ranges_by_app(best_per_setting(reader, pool));
-}
-
 std::vector<AppRange> speedup_ranges_by_app(
     const std::vector<SettingBest>& bests) {
   std::map<std::string, AppRange> ranges;
@@ -169,15 +132,6 @@ std::vector<AppRange> speedup_ranges_by_app(
   out.reserve(ranges.size());
   for (const auto& [app, range] : ranges) out.push_back(range);  // sorted by app
   return out;
-}
-
-std::vector<ArchUpshot> upshot_by_arch(const sweep::Dataset& dataset) {
-  return upshot_by_arch(best_per_setting(dataset));
-}
-
-std::vector<ArchUpshot> upshot_by_arch(const store::StoreReader& reader,
-                                       const util::ThreadPool* pool) {
-  return upshot_by_arch(best_per_setting(reader, pool));
 }
 
 std::vector<ArchUpshot> upshot_by_arch(const std::vector<SettingBest>& bests) {
@@ -197,62 +151,6 @@ std::vector<ArchUpshot> upshot_by_arch(const std::vector<SettingBest>& bests) {
     upshot.max_best = stats::max_value(values);
     out.push_back(upshot);
   }
-  return out;
-}
-
-std::vector<SettingSummary> setting_runtime_summaries(
-    const store::StoreReader& reader, const util::ThreadPool* pool) {
-  reader.ensure_scan_validated();
-  const std::size_t runs = reader.setting_count();
-
-  // Pass 1 (parallel): gather each run's valid runtimes off the contiguous
-  // runtime slice, in row order.
-  std::vector<std::vector<double>> per_run(runs);
-  util::parallel_for(
-      pool, runs, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t r = begin; r < end; ++r) {
-          const store::SettingSlice slice = reader.setting_slice(r);
-          std::vector<double>& values = per_run[r];
-          for (std::size_t i = 0; i < slice.rows; ++i) {
-            if (slice.quarantined(i)) continue;
-            const double* row = slice.runtimes + i * slice.reps;
-            values.insert(values.end(), row, row + slice.runtime_count[i]);
-          }
-        }
-      });
-
-  // Serial fold: runs sharing a key concatenate in run order.
-  std::vector<SettingSummary> out;
-  std::vector<std::vector<double>> merged;
-  std::map<std::string, std::size_t> index_of;
-  for (std::size_t r = 0; r < runs; ++r) {
-    if (per_run[r].empty()) continue;
-    const store::SettingSlice slice = reader.setting_slice(r);
-    const std::string key =
-        setting_key(*slice.arch, *slice.app, *slice.input, slice.threads);
-    const auto it = index_of.find(key);
-    if (it == index_of.end()) {
-      index_of.emplace(key, out.size());
-      SettingSummary summary;
-      summary.arch = *slice.arch;
-      summary.app = *slice.app;
-      summary.input = *slice.input;
-      summary.threads = slice.threads;
-      out.push_back(std::move(summary));
-      merged.push_back(std::move(per_run[r]));
-    } else {
-      std::vector<double>& dst = merged[it->second];
-      dst.insert(dst.end(), per_run[r].begin(), per_run[r].end());
-    }
-  }
-
-  // Pass 2 (parallel): summarize each setting; every output slot is its own.
-  util::parallel_for(pool, out.size(), 1,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         out[i].runtime = stats::summarize(std::move(merged[i]));
-                       }
-                     });
   return out;
 }
 

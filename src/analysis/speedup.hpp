@@ -3,18 +3,19 @@
 // Upshot-potential analysis (paper Section V.1, Tables V and VI):
 // per-setting best speedups and their ranges per application/architecture.
 //
-// Every entry point has two forms: the original Dataset walk, and a
-// zero-copy StoreReader overload that aggregates straight off the store's
-// column slices (no Sample materialization) and accepts an optional
-// ThreadPool. The two produce identical results, and the reader overload is
-// bit-identical across thread counts: per-run partials are merged in run
-// (= row) order, never in completion order.
+// Analysis reads rows from one place: the store's zero-copy setting
+// slices. best_per_setting aggregates them, on an optional ThreadPool, and
+// the table and upshot reductions fold its result; a sweep::Dataset is
+// analysed through store::StoreReader(dataset), its in-memory .omps image.
+// Output is bit-identical across thread counts: per-run partials are merged
+// in run (= row) order, never in completion order.
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "stats/descriptive.hpp"
-#include "sweep/dataset.hpp"
+#include "rt/config.hpp"
 
 namespace omptune::store {
 class StoreReader;
@@ -35,17 +36,23 @@ struct SettingBest {
   rt::RtConfig best_config;
 };
 
-/// Best speedup per setting across the dataset (one entry per distinct
-/// (arch, app, input, threads)).
-std::vector<SettingBest> best_per_setting(const sweep::Dataset& dataset);
-
-/// Same result computed from the store's zero-copy setting slices, without
-/// materializing a Dataset. Quarantined rows are skipped, matching the
-/// Dataset overload. Runs aggregate in parallel on `pool`; runs sharing a
-/// key fold in first-appearance order, so output order and tie-breaking are
-/// identical to the Dataset walk.
+/// Best speedup per setting (one entry per distinct (arch, app, input,
+/// threads), in first-appearance order), aggregated off the store's
+/// zero-copy setting slices. Quarantined rows are skipped. Runs aggregate in
+/// parallel on `pool`; runs sharing a key fold in run order, and the
+/// earliest of tied rows wins.
 std::vector<SettingBest> best_per_setting(const store::StoreReader& reader,
                                           const util::ThreadPool* pool = nullptr);
+
+/// Best setting per (app, arch) pair, keyed {app, arch}.
+using PairBests = std::map<std::pair<std::string, std::string>, SettingBest>;
+
+/// Fold per-setting bests into PairBests: a pair's best is the first entry of
+/// `bests` attaining its highest best_speedup (a later entry replaces it only
+/// when strictly greater). With `arch`, only that architecture's pairs are
+/// kept.
+PairBests best_per_pair(const std::vector<SettingBest>& bests,
+                        const std::string* arch = nullptr);
 
 /// Table V row: the [min, max] over settings of the per-setting best for
 /// one (app, arch).
@@ -56,11 +63,8 @@ struct ArchAppRange {
   double hi = 0;
 };
 
-std::vector<ArchAppRange> speedup_ranges_by_arch(const sweep::Dataset& dataset);
 std::vector<ArchAppRange> speedup_ranges_by_arch(
     const std::vector<SettingBest>& bests);
-std::vector<ArchAppRange> speedup_ranges_by_arch(
-    const store::StoreReader& reader, const util::ThreadPool* pool = nullptr);
 
 /// Table VI row: the [min, max] over (arch, setting) for one app.
 struct AppRange {
@@ -69,10 +73,7 @@ struct AppRange {
   double hi = 0;
 };
 
-std::vector<AppRange> speedup_ranges_by_app(const sweep::Dataset& dataset);
 std::vector<AppRange> speedup_ranges_by_app(const std::vector<SettingBest>& bests);
-std::vector<AppRange> speedup_ranges_by_app(const store::StoreReader& reader,
-                                            const util::ThreadPool* pool = nullptr);
 
 /// Section V.1 headline numbers per architecture: the min / median / max of
 /// the per-setting best speedups.
@@ -83,26 +84,6 @@ struct ArchUpshot {
   double max_best = 0;
 };
 
-std::vector<ArchUpshot> upshot_by_arch(const sweep::Dataset& dataset);
 std::vector<ArchUpshot> upshot_by_arch(const std::vector<SettingBest>& bests);
-std::vector<ArchUpshot> upshot_by_arch(const store::StoreReader& reader,
-                                       const util::ThreadPool* pool = nullptr);
-
-/// Descriptive runtime statistics of one experiment setting, over every
-/// repetition of every non-quarantined sample in the setting.
-struct SettingSummary {
-  std::string arch;
-  std::string app;
-  std::string input;
-  int threads = 0;
-  stats::Summary runtime;
-};
-
-/// Per-setting runtime summaries straight off the store's runtime matrix:
-/// each worker reads its settings' contiguous runtime slices in place (one
-/// copy into the quantile sort, nothing else). Settings whose samples are
-/// all quarantined are omitted. Deterministic at any thread count.
-std::vector<SettingSummary> setting_runtime_summaries(
-    const store::StoreReader& reader, const util::ThreadPool* pool = nullptr);
 
 }  // namespace omptune::analysis

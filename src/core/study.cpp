@@ -34,68 +34,48 @@ StudyResult Study::run_supervised(const sweep::StudyPlan& plan,
   return analyze(std::move(dataset), pool);
 }
 
-namespace {
-
-/// The ML/trend artefacts shared by both analyze paths: influence heat
-/// maps and worst-performance trends over the non-quarantined samples.
-void derive_model_artefacts(const sweep::Dataset& analysed,
-                            const StudyOptions& options,
-                            const util::ThreadPool* pool, StudyResult& result) {
-  result.per_app_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerApplication,
-                              options.label_threshold, {}, pool);
-  result.per_arch_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerArchitecture,
-                              options.label_threshold, {}, pool);
-  result.per_arch_app_influence =
-      analysis::influence_map(analysed, analysis::Grouping::PerArchApplication,
-                              options.label_threshold, {}, pool);
-  result.worst_trends = analysis::worst_trends(analysed);
-}
-
-}  // namespace
-
 StudyResult Study::analyze(sweep::Dataset dataset,
                            const util::ThreadPool* pool) const {
-  StudyResult result;
-  // Quarantined samples (failed collection, placeholder values) stay in
-  // result.dataset for provenance but are excluded from every derived
-  // artefact — their zeroed runtimes/speedups are not measurements.
-  sweep::Dataset clean_copy;
-  const sweep::Dataset* analysed = &dataset;
-  if (dataset.quarantined_count() > 0) {
-    clean_copy = dataset.ok_samples();
-    analysed = &clean_copy;
-  }
-  result.upshot = analysis::upshot_by_arch(*analysed);
-  result.ranges_by_arch = analysis::speedup_ranges_by_arch(*analysed);
-  result.ranges_by_app = analysis::speedup_ranges_by_app(*analysed);
-  derive_model_artefacts(*analysed, options_, pool, result);
-  result.dataset = std::move(dataset);
-  return result;
+  // The image lives for this statement only: the fits in derive() never
+  // hold it.
+  const std::vector<analysis::SettingBest> bests =
+      analysis::best_per_setting(store::StoreReader(dataset), pool);
+  return derive(bests, std::move(dataset), pool);
 }
 
 StudyResult Study::analyze_store(const store::StoreReader& reader,
                                  const util::ThreadPool* pool) const {
+  return derive(analysis::best_per_setting(reader, pool), reader.load(pool),
+                pool);
+}
+
+StudyResult Study::derive(const std::vector<analysis::SettingBest>& bests,
+                          sweep::Dataset dataset,
+                          const util::ThreadPool* pool) const {
   StudyResult result;
-  // The speedup artefacts never materialize a Sample: per-setting bests are
-  // aggregated off the store's column slices (quarantined rows skipped, as
-  // in analyze()), and the table/upshot reductions reuse those bests.
-  const std::vector<analysis::SettingBest> bests =
-      analysis::best_per_setting(reader, pool);
+  // Per-setting bests skip quarantined rows; the table and upshot
+  // reductions reuse them.
   result.upshot = analysis::upshot_by_arch(bests);
   result.ranges_by_arch = analysis::speedup_ranges_by_arch(bests);
   result.ranges_by_app = analysis::speedup_ranges_by_app(bests);
 
-  // The ML artefacts consume Samples; materialize rows in parallel once.
-  sweep::Dataset dataset = reader.load(pool);
+  // Quarantined samples (failed collection, placeholder values) stay in
+  // result.dataset for provenance but are excluded from the models and
+  // trends too — their zeroed runtimes/speedups are not measurements.
   sweep::Dataset clean_copy;
   const sweep::Dataset* analysed = &dataset;
   if (dataset.quarantined_count() > 0) {
     clean_copy = dataset.ok_samples();
     analysed = &clean_copy;
   }
-  derive_model_artefacts(*analysed, options_, pool, result);
+  const double threshold = options_.label_threshold;
+  result.per_app_influence = analysis::influence_map(
+      *analysed, analysis::Grouping::PerApplication, threshold, {}, pool);
+  result.per_arch_influence = analysis::influence_map(
+      *analysed, analysis::Grouping::PerArchitecture, threshold, {}, pool);
+  result.per_arch_app_influence = analysis::influence_map(
+      *analysed, analysis::Grouping::PerArchApplication, threshold, {}, pool);
+  result.worst_trends = analysis::worst_trends(*analysed);
   result.dataset = std::move(dataset);
   return result;
 }

@@ -70,21 +70,28 @@ class Study {
                              const util::ThreadPool* pool = nullptr) const;
 
   /// Derive all analysis artefacts from an existing dataset (e.g. loaded
-  /// from the open-sourced CSV files). With a pool, the influence maps'
-  /// group fits and the models' gradient/tree loops run on it; every
-  /// artefact is bit-identical at any thread count.
+  /// from the open-sourced CSV files), read through its in-memory .omps
+  /// image. With a pool, the slice aggregation and the influence maps' group
+  /// fits run on it; every artefact is bit-identical at any thread count.
+  /// Throws std::invalid_argument on non-finite values.
   StudyResult analyze(sweep::Dataset dataset,
                       const util::ThreadPool* pool = nullptr) const;
 
-  /// Derive the same artefacts straight from a .omps store. The speedup
-  /// artefacts (upshot, Tables V/VI) aggregate zero-copy off the store's
-  /// column slices; the sample materialization that the ML artefacts and
-  /// result.dataset need runs row-parallel on the pool. Identical output to
-  /// analyze(Dataset::load_store(path)) — just faster.
+  /// Derive the same artefacts from a .omps store: the speedup artefacts
+  /// (upshot, Tables V/VI) aggregate off the store's setting slices, and
+  /// result.dataset is materialized row-parallel on the pool. Identical
+  /// output to analyze(reader.load()).
   StudyResult analyze_store(const store::StoreReader& reader,
                             const util::ThreadPool* pool = nullptr) const;
 
  private:
+  /// The one analysis body: speedup artefacts from the per-setting `bests`,
+  /// the influence maps and worst trends from `dataset`'s non-quarantined
+  /// samples.
+  StudyResult derive(const std::vector<analysis::SettingBest>& bests,
+                     sweep::Dataset dataset,
+                     const util::ThreadPool* pool) const;
+
   sim::Runner* runner_;
   StudyOptions options_;
 };

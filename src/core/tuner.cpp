@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/features.hpp"
 #include "store/reader.hpp"
@@ -44,39 +45,34 @@ std::vector<std::string> order_from_row(const analysis::InfluenceMap& map,
   return order;
 }
 
-/// The architecture's rows of a store, via the setting index.
-sweep::Dataset arch_slice(const store::StoreReader& reader,
-                          const std::string& arch) {
+/// The pair bests of `dataset`, read through its in-memory .omps image
+/// (freed on return, before any fit runs).
+analysis::PairBests image_pair_bests(const sweep::Dataset& dataset,
+                                     const util::ThreadPool* pool) {
+  return analysis::best_per_pair(
+      analysis::best_per_setting(store::StoreReader(dataset), pool));
+}
+
+store::StoreQuery arch_query(const std::string& arch) {
   store::StoreQuery query;
   query.arch = arch;
-  return reader.query(query);
+  return query;
 }
 
 }  // namespace
 
-KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
+KnowledgeBase::KnowledgeBase(const sweep::Dataset& samples,
+                             analysis::PairBests best_pairs,
                              double label_threshold,
                              const util::ThreadPool* pool)
-    : dataset_(&dataset) {
-  fit_influence(label_threshold, pool);
-}
-
-KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
-                             const std::string& arch, double label_threshold,
-                             const util::ThreadPool* pool)
-    : owned_(arch_slice(reader, arch)), dataset_(&owned_) {
-  fit_influence(label_threshold, pool);
-}
-
-void KnowledgeBase::fit_influence(double label_threshold,
-                                  const util::ThreadPool* pool) {
+    : best_pair_(std::move(best_pairs)) {
   // Quarantined samples carry zeroed placeholder speedups, which would
   // label them sub-optimal: the maps fit on the rest, as Study::analyze
-  // and a multi-shard Snapshot do.
+  // does.
   sweep::Dataset clean_copy;
-  const sweep::Dataset* analysed = dataset_;
-  if (dataset_->quarantined_count() > 0) {
-    clean_copy = dataset_->ok_samples();
+  const sweep::Dataset* analysed = &samples;
+  if (samples.quarantined_count() > 0) {
+    clean_copy = samples.ok_samples();
     analysed = &clean_copy;
   }
   pair_influence_ = analysis::influence_map(
@@ -85,6 +81,29 @@ void KnowledgeBase::fit_influence(double label_threshold,
   arch_influence_ = analysis::influence_map(
       *analysed, analysis::Grouping::PerArchitecture, label_threshold, {},
       pool);
+}
+
+KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
+                             double label_threshold,
+                             const util::ThreadPool* pool)
+    : KnowledgeBase(dataset, image_pair_bests(dataset, pool), label_threshold,
+                    pool) {}
+
+KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
+                             const std::string& arch, double label_threshold,
+                             const util::ThreadPool* pool)
+    : KnowledgeBase(reader.query(arch_query(arch)),
+                    analysis::best_per_pair(
+                        analysis::best_per_setting(reader, pool), &arch),
+                    label_threshold, pool) {}
+
+const analysis::SettingBest& KnowledgeBase::pair_best(
+    const std::string& app, const std::string& arch) const {
+  const auto it = best_pair_.find({app, arch});
+  if (it == best_pair_.end()) {
+    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
+  }
+  return it->second;
 }
 
 std::vector<std::string> KnowledgeBase::variable_priority(
@@ -101,30 +120,12 @@ std::vector<std::string> KnowledgeBase::variable_priority(
 
 rt::RtConfig KnowledgeBase::best_known_config(const std::string& app,
                                               const std::string& arch) const {
-  const sweep::Sample* best = nullptr;
-  for (const sweep::Sample& s : dataset_->samples()) {
-    if (s.app != app || s.arch != arch) continue;
-    if (best == nullptr || s.speedup > best->speedup) best = &s;
-  }
-  if (best == nullptr) {
-    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
-  }
-  return best->config;
+  return pair_best(app, arch).best_config;
 }
 
 double KnowledgeBase::best_known_speedup(const std::string& app,
                                          const std::string& arch) const {
-  double best = 0.0;
-  bool found = false;
-  for (const sweep::Sample& s : dataset_->samples()) {
-    if (s.app != app || s.arch != arch) continue;
-    best = std::max(best, s.speedup);
-    found = true;
-  }
-  if (!found) {
-    throw std::invalid_argument("KnowledgeBase: no samples for " + app + " on " + arch);
-  }
-  return best;
+  return pair_best(app, arch).best_speedup;
 }
 
 Tuner::Tuner(sim::Runner& runner, const apps::Application& app,

@@ -3,7 +3,7 @@
 // The tuner: what a downstream user adopts.
 //
 // Two modes:
-//  1. Knowledge-based (instant): query the study's dataset/influence maps
+//  1. Knowledge-based (instant): query the study's bests/influence maps
 //     for the best known configuration and the per-variable influence
 //     ordering for an (application, architecture) pair — the paper's
 //     "recommendations" and "search-space pruning" contributions.
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/influence.hpp"
+#include "analysis/speedup.hpp"
 #include "sim/executor.hpp"
 #include "sweep/config_space.hpp"
 #include "sweep/dataset.hpp"
@@ -30,20 +31,28 @@ class ThreadPool;
 
 namespace omptune::core {
 
-/// Knowledge-based recommendations backed by a study dataset.
+/// Knowledge-based recommendations distilled from a study: influence maps
+/// and a best-configuration table per (app, arch) pair. Holds no samples.
 class KnowledgeBase {
  public:
-  /// The influence maps behind variable_priority() fit one model per group
-  /// on the non-quarantined samples; with a pool those fits run in lock
-  /// step on its lanes (identical maps either way).
+  /// Fit the influence maps behind variable_priority() on the non-quarantined
+  /// `samples` (one model per group; with a pool those fits run in lock step
+  /// on its lanes, identical maps either way) and answer best_known_config
+  /// from `best_pairs`.
+  KnowledgeBase(const sweep::Dataset& samples, analysis::PairBests best_pairs,
+                double label_threshold = 1.01,
+                const util::ThreadPool* pool = nullptr);
+
+  /// Build from a dataset: the best-config table folds best_per_setting
+  /// over its in-memory .omps image, so non-finite values throw
+  /// std::invalid_argument.
   explicit KnowledgeBase(const sweep::Dataset& dataset,
                          double label_threshold = 1.01,
                          const util::ThreadPool* pool = nullptr);
 
-  /// Build from an indexed .omps store, materializing only `arch`'s slice
-  /// of the dataset — the recommend hot path never parses the other
-  /// architectures' rows (or any CSV). The slice is owned by the knowledge
-  /// base; the reader is only used during construction.
+  /// Build from an indexed .omps store for one `arch`: the fits materialize
+  /// only that architecture's slice, and the best-config table keeps only
+  /// its pairs. The reader is only used during construction.
   KnowledgeBase(const store::StoreReader& reader, const std::string& arch,
                 double label_threshold = 1.01,
                 const util::ThreadPool* pool = nullptr);
@@ -54,8 +63,10 @@ class KnowledgeBase {
   std::vector<std::string> variable_priority(const std::string& app,
                                              const std::string& arch) const;
 
-  /// Best known configuration for (app, arch) across the studied settings;
-  /// throws std::invalid_argument if the pair has no samples.
+  /// Best known configuration for (app, arch) across the studied settings:
+  /// the first setting (in row order) attaining the pair's highest
+  /// per-setting best. Throws std::invalid_argument if the pair has no
+  /// non-quarantined samples.
   rt::RtConfig best_known_config(const std::string& app,
                                  const std::string& arch) const;
 
@@ -65,12 +76,12 @@ class KnowledgeBase {
   const analysis::InfluenceMap& pair_influence() const { return pair_influence_; }
 
  private:
-  void fit_influence(double label_threshold, const util::ThreadPool* pool);
+  const analysis::SettingBest& pair_best(const std::string& app,
+                                         const std::string& arch) const;
 
-  sweep::Dataset owned_;  ///< store-backed slice; empty for borrowed datasets
-  const sweep::Dataset* dataset_;
   analysis::InfluenceMap pair_influence_;
   analysis::InfluenceMap arch_influence_;
+  analysis::PairBests best_pair_;
 };
 
 /// Search-based tuning over a Runner.

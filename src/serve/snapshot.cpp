@@ -55,42 +55,33 @@ std::shared_ptr<const Snapshot> Snapshot::load(
     snapshot->rows_ += snapshot->readers_.back()->size();
   }
 
-  // Aggregate the answer tables. One shard serves zero-copy off the store
-  // slices; multiple shards materialize and pool their rows (load-time
-  // cost only — a compacted production store is a single shard).
-  std::vector<analysis::SettingBest> bests;
-  std::vector<analysis::MarginalRow> per_arch, pooled;
-  std::vector<std::string> archs, apps;
-  sweep::Dataset merged;  // multi-shard only; must outlive the KB below
-  std::unique_ptr<core::KnowledgeBase> merged_kb;
-  if (snapshot->readers_.size() == 1) {
-    const store::StoreReader& reader = *snapshot->readers_.front();
-    bests = analysis::best_per_setting(reader, pool);
-    per_arch = analysis::value_marginals(reader, true, pool);
-    pooled = analysis::value_marginals(reader, false, pool);
-    archs = reader.archs();
-    apps = reader.apps();
-  } else {
-    for (const auto& reader : snapshot->readers_) {
-      merged.append(reader->load(pool));
-    }
-    merged = merged.ok_samples();
-    bests = analysis::best_per_setting(merged);
-    per_arch = analysis::value_marginals(merged, true);
-    pooled = analysis::value_marginals(merged, false);
-    archs = merged.distinct([](const sweep::Sample& s) { return s.arch; });
-    apps = merged.distinct([](const sweep::Sample& s) { return s.app; });
-    merged_kb = std::make_unique<core::KnowledgeBase>(merged, 1.01, pool);
+  // Aggregate the answer tables off one reader's slices. One shard is read
+  // in place; several are read through the image of their concatenated
+  // rows (load-time cost only — a compacted production store is a single
+  // shard), so the answers are those of one store holding every row.
+  std::unique_ptr<store::StoreReader> image;
+  if (snapshot->readers_.size() > 1) {
+    sweep::Dataset merged;
+    for (const auto& shard : snapshot->readers_) merged.append(shard->load(pool));
+    image = std::make_unique<store::StoreReader>(merged);
   }
+  const store::StoreReader& reader =
+      image ? *image : *snapshot->readers_.front();
+  const std::vector<analysis::SettingBest> bests =
+      analysis::best_per_setting(reader, pool);
+  std::vector<analysis::MarginalRow> per_arch =
+      analysis::value_marginals(reader, true, pool);
+  std::vector<analysis::MarginalRow> pooled =
+      analysis::value_marginals(reader, false, pool);
 
   for (const analysis::SettingBest& best : bests) {
     snapshot->best_setting_[setting_key(best.arch, best.app, best.input,
                                         best.threads)] =
         BestConfig{best.best_speedup, best.best_config.key()};
-    BestConfig& pair = snapshot->best_pair_[pair_key(best.app, best.arch)];
-    if (pair.config_key.empty() || best.best_speedup > pair.speedup) {
-      pair = BestConfig{best.best_speedup, best.best_config.key()};
-    }
+  }
+  for (const auto& [pair, best] : analysis::best_per_pair(bests)) {
+    snapshot->best_pair_[pair_key(pair.first, pair.second)] =
+        BestConfig{best.best_speedup, best.best_config.key()};
   }
   for (std::vector<analysis::MarginalRow>* rows : {&per_arch, &pooled}) {
     for (analysis::MarginalRow& row : *rows) {
@@ -104,21 +95,19 @@ std::shared_ptr<const Snapshot> Snapshot::load(
   // app), and the global fallback (both keys empty). Query-time lookups
   // walk that ladder, so a pair the study never covered still gets the
   // most useful ordering available — without a model fit on the hot path.
-  for (const std::string& arch : archs) {
-    std::unique_ptr<core::KnowledgeBase> arch_kb;
-    const core::KnowledgeBase* kb = merged_kb.get();
-    if (kb == nullptr) {
-      arch_kb = std::make_unique<core::KnowledgeBase>(
-          *snapshot->readers_.front(), arch, 1.01, pool);
-      kb = arch_kb.get();
-    }
-    for (const std::string& app : apps) {
-      snapshot->priority_[pair_key(app, arch)] = kb->variable_priority(app, arch);
+  for (const std::string& arch : reader.archs()) {
+    store::StoreQuery query;
+    query.arch = arch;
+    // Only the priorities are read here, so the knowledge base needs no
+    // best-config table.
+    const core::KnowledgeBase kb(reader.query(query), {}, 1.01, pool);
+    for (const std::string& app : reader.apps()) {
+      snapshot->priority_[pair_key(app, arch)] = kb.variable_priority(app, arch);
     }
     snapshot->priority_[pair_key("", arch)] =
-        kb->variable_priority(kNoSuchGroup, arch);
+        kb.variable_priority(kNoSuchGroup, arch);
     snapshot->priority_.try_emplace(
-        pair_key("", ""), kb->variable_priority(kNoSuchGroup, kNoSuchGroup));
+        pair_key("", ""), kb.variable_priority(kNoSuchGroup, kNoSuchGroup));
   }
 
   return snapshot;

@@ -4,8 +4,10 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "store/format.hpp"
+#include "store/writer.hpp"
 #include "util/errors.hpp"
 #include "util/thread_pool.hpp"
 
@@ -98,7 +100,14 @@ util::MappedFile open_store_file(const std::string& path,
 StoreReader::StoreReader(const std::string& path) : StoreReader(path, 0) {}
 
 StoreReader::StoreReader(const std::string& path, std::uint64_t generation)
-    : file_(open_store_file(path, generation)), generation_(generation) {
+    : StoreReader(open_store_file(path, generation), generation) {}
+
+StoreReader::StoreReader(const sweep::Dataset& dataset)
+    : StoreReader(util::MappedFile("<in-memory dataset>", serialize_store(dataset)),
+                  0) {}
+
+StoreReader::StoreReader(util::MappedFile file, std::uint64_t generation)
+    : file_(std::move(file)), generation_(generation) {
   const unsigned char* data = file_.data();
   const std::size_t size = file_.size();
 
@@ -626,15 +635,6 @@ SettingSlice StoreReader::setting_slice(std::size_t i) const {
   slice.error =
       reinterpret_cast<const std::uint32_t*>(at(error_section, 4 * first));
   return slice;
-}
-
-void StoreReader::scan(const std::function<void(const SettingSlice&)>& visit,
-                       const util::ThreadPool* pool) const {
-  ensure_scan_validated();
-  util::parallel_for(pool, index_.size(), 1,
-                     [&](std::size_t begin, std::size_t, std::size_t) {
-                       visit(setting_slice(begin));
-                     });
 }
 
 sweep::Dataset StoreReader::query(const StoreQuery& query) const {

@@ -16,7 +16,7 @@
 // file path and the byte offset of the offending structure.
 //
 // Thread-safety contract: after construction, a StoreReader is a read-only
-// view and every const member — load(), query(), scan(), setting_slice(),
+// view and every const member — load(), query(), setting_slice(),
 // settings() — may be called concurrently from any number of threads. The
 // only mutable state is the runtime-bytes instrumentation counter (atomic)
 // and the scan validation latch (std::once_flag); neither affects results.
@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <optional>
@@ -136,6 +135,13 @@ class StoreReader {
   /// adopt (see serve::Snapshot).
   StoreReader(const std::string& path, std::uint64_t generation);
 
+  /// Reads `dataset` through its in-memory .omps image
+  /// (store::serialize_store): every check a file open runs, with errors
+  /// naming the path "<in-memory dataset>". This is how a Dataset is
+  /// analysed. Throws std::invalid_argument where serialize_store does
+  /// (non-finite values, dictionary overflow).
+  explicit StoreReader(const sweep::Dataset& dataset);
+
   const std::string& path() const { return file_.path(); }
 
   /// Serving-generation label this reader was opened under (0: unlabeled).
@@ -172,33 +178,23 @@ class StoreReader {
   /// Number of runs in the embedded setting index.
   std::size_t setting_count() const { return index_.size(); }
 
-  /// Zero-copy column view of index run `i` (see SettingSlice). Requires a
-  /// prior scan()/ensure_scan_validated() on this reader — the slice hands
-  /// out raw bulk-section pointers, so the bulk checksums must have been
-  /// verified first.
+  /// Zero-copy column view of index run `i` (see SettingSlice) — the
+  /// aggregation path: no Dataset, no Sample, no copies. Requires a prior
+  /// ensure_scan_validated() on this reader — the slice hands out raw
+  /// bulk-section pointers, so the bulk checksums must have been verified
+  /// first.
   SettingSlice setting_slice(std::size_t i) const;
 
-  /// Visit every setting run with a zero-copy SettingSlice — the
-  /// aggregation path: no Dataset, no Sample, no copies. The first scan on
-  /// a reader verifies the bulk-section checksums once (config, stats,
-  /// runtimes, errors — the metadata sections were verified at open), after
-  /// which slices serve raw mapped memory. Visits run concurrently on the
-  /// pool; callers needing a reduction should use util::parallel_reduce
-  /// over setting_count()/setting_slice() directly so partials merge in
-  /// deterministic chunk order.
-  void scan(const std::function<void(const SettingSlice&)>& visit,
-            const util::ThreadPool* pool = nullptr) const;
-
   /// Verify the bulk-section checksums once (idempotent, thread-safe);
-  /// throws util::DataCorruptionError on a mismatch. scan() calls this, but
-  /// callers driving setting_slice() by hand must do it themselves.
+  /// throws util::DataCorruptionError on a mismatch. The metadata sections
+  /// were verified at open; this covers config, stats, runtimes and errors.
   void ensure_scan_validated() const;
 
   /// Bytes of the runtime block materialized so far by load()/query() on
   /// this reader — instrumentation for the bench/tests proving that queries
-  /// leave non-matching runtime blocks untouched. (scan() counts the whole
-  /// runtime section once, at validation time: the checksum pass reads it.)
-  /// Atomic so concurrent load()/query()/scan() calls on one reader tally
+  /// leave non-matching runtime blocks untouched. (ensure_scan_validated()
+  /// counts the whole runtime section once: the checksum pass reads it.)
+  /// Atomic so concurrent load()/query()/validation on one reader tally
   /// without racing.
   std::uint64_t runtime_bytes_touched() const {
     return runtime_bytes_touched_.load(std::memory_order_relaxed);
@@ -211,6 +207,10 @@ class StoreReader {
     std::uint64_t checksum = 0;
     std::uint64_t table_entry_offset = 0;  ///< for error reporting
   };
+
+  /// Validates `file` (see the file comment); every public constructor
+  /// lands here.
+  StoreReader(util::MappedFile file, std::uint64_t generation);
 
   [[noreturn]] void corrupt(std::uint64_t offset, const std::string& message) const;
   const unsigned char* at(const Section& section, std::size_t offset) const;

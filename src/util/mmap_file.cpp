@@ -31,7 +31,7 @@ void MappedFile::read_into_buffer(int fd) {
   buffer_.resize(size_);
   std::size_t done = 0;
   while (done < size_) {
-    const ssize_t n = ::read(fd, buffer_.data() + done, size_ - done);
+    const ssize_t n = ::read(fd, &buffer_[done], size_ - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
@@ -44,7 +44,7 @@ void MappedFile::read_into_buffer(int fd) {
     size_ = done;
     buffer_.resize(done);
   }
-  data_ = buffer_.data();
+  data_ = buffer_bytes();
 }
 
 MappedFile::MappedFile(const std::string& path, Mode mode) : path_(path) {
@@ -79,6 +79,11 @@ MappedFile::MappedFile(const std::string& path, Mode mode) : path_(path) {
   ::close(fd);
 }
 
+MappedFile::MappedFile(std::string label, std::string bytes)
+    : path_(std::move(label)), size_(bytes.size()), buffer_(std::move(bytes)) {
+  if (size_ > 0) data_ = buffer_bytes();
+}
+
 MappedFile::~MappedFile() { reset(); }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
@@ -87,7 +92,7 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
       size_(std::exchange(other.size_, 0)),
       mapped_(std::exchange(other.mapped_, false)),
       buffer_(std::move(other.buffer_)) {
-  if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
+  if (!mapped_ && !buffer_.empty()) data_ = buffer_bytes();
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
@@ -98,7 +103,7 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     mapped_ = std::exchange(other.mapped_, false);
     buffer_ = std::move(other.buffer_);
-    if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
+    if (!mapped_ && !buffer_.empty()) data_ = buffer_bytes();
   }
   return *this;
 }

@@ -11,10 +11,12 @@
 // zero-copy property is simply lost. memory_mapped() reports which path was
 // taken, and setting OMPTUNE_NO_MMAP=1 in the environment forces the
 // buffered path (operational escape hatch, and how tests exercise it).
+// A view can also adopt bytes already in memory (an in-memory store image):
+// they become the fallback's buffer, so the view reads exactly like a
+// buffered file.
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace omptune::util {
 
@@ -31,6 +33,8 @@ class MappedFile {
   /// Throws std::runtime_error if the file cannot be opened, stat'ed, or
   /// read at all.
   explicit MappedFile(const std::string& path, Mode mode = Mode::Auto);
+  /// Adopts `bytes` as the buffered view; `label` stands in for the path.
+  MappedFile(std::string label, std::string bytes);
   ~MappedFile();
 
   MappedFile(MappedFile&& other) noexcept;
@@ -49,12 +53,15 @@ class MappedFile {
  private:
   void reset() noexcept;
   void read_into_buffer(int fd);
+  const unsigned char* buffer_bytes() const {
+    return reinterpret_cast<const unsigned char*>(buffer_.data());
+  }
 
   std::string path_;
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
-  std::vector<unsigned char> buffer_;  ///< backing store of the fallback
+  std::string buffer_;  ///< backing store of the fallback and adopted bytes
 };
 
 }  // namespace omptune::util

@@ -15,6 +15,7 @@
 #include "analysis/recommend.hpp"
 #include "analysis/speedup.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 #include "sweep/harness.hpp"
 
 namespace omptune::analysis {
@@ -35,8 +36,14 @@ const sweep::Dataset& study_dataset() {
   return dataset;
 }
 
+/// The reduced study read through its in-memory .omps image.
+const store::StoreReader& study_store() {
+  static const store::StoreReader reader(study_dataset());
+  return reader;
+}
+
 TEST(BestPerSetting, OneEntryPerSettingWithBestAtLeastDefault) {
-  const auto bests = best_per_setting(study_dataset());
+  const auto bests = best_per_setting(study_store());
   // A64FX 49 + Milan 43 + Skylake 40 settings.
   EXPECT_EQ(bests.size(), 132u);
   for (const SettingBest& b : bests) {
@@ -45,7 +52,7 @@ TEST(BestPerSetting, OneEntryPerSettingWithBestAtLeastDefault) {
 }
 
 TEST(SpeedupRanges, TableFiveShape) {
-  const auto ranges = speedup_ranges_by_arch(study_dataset());
+  const auto ranges = speedup_ranges_by_arch(best_per_setting(study_store()));
   auto find = [&ranges](const std::string& app, const std::string& arch) {
     const auto it = std::find_if(ranges.begin(), ranges.end(),
                                  [&](const ArchAppRange& r) {
@@ -73,7 +80,7 @@ TEST(SpeedupRanges, TableFiveShape) {
 }
 
 TEST(SpeedupRanges, TableSixShape) {
-  const auto ranges = speedup_ranges_by_app(study_dataset());
+  const auto ranges = speedup_ranges_by_app(best_per_setting(study_store()));
   EXPECT_EQ(ranges.size(), 15u);
   auto find = [&ranges](const std::string& app) {
     const auto it = std::find_if(ranges.begin(), ranges.end(),
@@ -95,8 +102,35 @@ TEST(SpeedupRanges, TableSixShape) {
                              }));
 }
 
+TEST(BestPerPair, FirstEntryKeepsATieAndAStrictlyGreaterOneReplacesIt) {
+  auto entry = [](const std::string& arch, const std::string& app,
+                  int threads, double speedup) {
+    SettingBest best;
+    best.arch = arch;
+    best.app = app;
+    best.threads = threads;
+    best.best_speedup = speedup;
+    return best;
+  };
+  const std::vector<SettingBest> bests = {
+      entry("milan", "cg", 1, 1.5), entry("milan", "cg", 2, 1.5),
+      entry("a64fx", "cg", 1, 1.2), entry("milan", "ep", 1, 1.1),
+      entry("milan", "ep", 2, 1.3), entry("a64fx", "cg", 2, 1.1)};
+  const PairBests pairs = best_per_pair(bests);
+  ASSERT_EQ(pairs.size(), 3u);
+  EXPECT_EQ(pairs.at({"cg", "milan"}).threads, 1);  // a tie keeps the first
+  EXPECT_EQ(pairs.at({"ep", "milan"}).threads, 2);  // strictly greater wins
+  EXPECT_EQ(pairs.at({"cg", "a64fx"}).threads, 1);
+  EXPECT_DOUBLE_EQ(pairs.at({"cg", "a64fx"}).best_speedup, 1.2);
+
+  const std::string arch = "a64fx";
+  const PairBests one_arch = best_per_pair(bests, &arch);
+  ASSERT_EQ(one_arch.size(), 1u);
+  EXPECT_EQ(one_arch.begin()->first, std::make_pair(std::string("cg"), arch));
+}
+
 TEST(Upshot, ArchitectureMediansFollowThePaperOrdering) {
-  const auto upshot = upshot_by_arch(study_dataset());
+  const auto upshot = upshot_by_arch(best_per_setting(study_store()));
   ASSERT_EQ(upshot.size(), 3u);
   auto find = [&upshot](const std::string& arch) {
     return *std::find_if(upshot.begin(), upshot.end(),
@@ -180,7 +214,7 @@ TEST(Influence, AtThrowsOnUnknownKeys) {
 
 TEST(Recommendations, NqueensTurnaroundOnEveryArchitecture) {
   // Table VII's headline row.
-  const auto recs = recommend_for_app(study_dataset(), "nqueens");
+  const auto recs = recommend_for_app(study_store(), "nqueens");
   bool found_all_scope = false;
   for (const auto& rec : recs) {
     if (rec.arch == "all" && rec.variable == "KMP_LIBRARY" &&
@@ -193,7 +227,7 @@ TEST(Recommendations, NqueensTurnaroundOnEveryArchitecture) {
 }
 
 TEST(Recommendations, EmptyForUnknownApp) {
-  EXPECT_TRUE(recommend_for_app(study_dataset(), "doesnotexist").empty());
+  EXPECT_TRUE(recommend_for_app(study_store(), "doesnotexist").empty());
 }
 
 TEST(WorstTrends, MasterBindingDominatesTheWorstDecile) {
@@ -257,7 +291,7 @@ TEST(Transfer, SomePairsTransferSomeDoNot) {
 }
 
 TEST(Marginals, CoverEveryVariableValuePerArch) {
-  const auto marginals = value_marginals(study_dataset());
+  const auto marginals = value_marginals(study_store());
   // Each arch has 7 variables; value counts per variable: places 4,
   // bind 6, schedule 4, library 2, blocktime 3, reduction 4, align (4 or 2).
   std::map<std::string, std::set<std::string>> values_per_variable;
@@ -277,7 +311,7 @@ TEST(Marginals, CoverEveryVariableValuePerArch) {
 }
 
 TEST(Marginals, MasterBindingHasTheWorstMedian) {
-  const auto marginals = value_marginals(study_dataset());
+  const auto marginals = value_marginals(study_store());
   for (const char* arch : {"a64fx", "milan", "skylake"}) {
     double master_median = 0.0, spread_median = 0.0;
     for (const auto& row : marginals) {
@@ -291,7 +325,7 @@ TEST(Marginals, MasterBindingHasTheWorstMedian) {
 }
 
 TEST(Marginals, PooledRowsUseAllScope) {
-  const auto pooled = value_marginals(study_dataset(), /*per_arch=*/false);
+  const auto pooled = value_marginals(study_store(), /*per_arch=*/false);
   for (const auto& row : pooled) EXPECT_EQ(row.arch, "all");
   const auto best = best_value_of(pooled, "all", "KMP_LIBRARY");
   EXPECT_EQ(best.variable, "KMP_LIBRARY");

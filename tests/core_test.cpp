@@ -10,6 +10,7 @@
 #include "core/thread_advisor.hpp"
 #include "core/tuner.hpp"
 #include "sim/executor.hpp"
+#include "sweep/harness.hpp"
 
 namespace omptune::core {
 namespace {
@@ -83,6 +84,44 @@ TEST(KnowledgeBase, BestKnownConfigBeatsDefault) {
   EXPECT_EQ(best.library, rt::LibraryMode::Turnaround);
   EXPECT_THROW(kb.best_known_config("sort", "milan"), std::invalid_argument);
   EXPECT_THROW(kb.best_known_speedup("nope", "milan"), std::invalid_argument);
+}
+
+sweep::Dataset mini_dataset() {
+  sim::ModelRunner runner;
+  sweep::SweepHarness harness(runner, 2, 3);
+  return harness.run_study(sweep::StudyPlan::mini_plan(2, 8));
+}
+
+TEST(KnowledgeBase, OutlivesTheDatasetItWasBuiltFrom) {
+  // The knowledge base keeps a best-config table, not the samples: built
+  // from a temporary, it must still answer (run under ASan in CI).
+  const sweep::Dataset reference = mini_dataset();
+  const sweep::Sample& first = reference.samples().front();
+  const KnowledgeBase kb(mini_dataset());
+  const KnowledgeBase kept(reference);
+  EXPECT_EQ(kb.best_known_config(first.app, first.arch),
+            kept.best_known_config(first.app, first.arch));
+  EXPECT_EQ(kb.best_known_speedup(first.app, first.arch),
+            kept.best_known_speedup(first.app, first.arch));
+  EXPECT_GE(kb.best_known_speedup(first.app, first.arch), 1.0);
+}
+
+TEST(KnowledgeBase, PairWithOnlyQuarantinedRowsHasNoBestConfig) {
+  std::vector<sweep::Sample> rows = mini_dataset().samples();
+  const std::string app = rows.front().app;
+  const std::string arch = rows.front().arch;
+  std::size_t quarantined = 0;
+  for (sweep::Sample& s : rows) {
+    if (s.app != app || s.arch != arch) continue;
+    s.status = sweep::SampleStatus::Quarantined;
+    s.error = "injected";
+    s.speedup = 0.0;
+    ++quarantined;
+  }
+  ASSERT_LT(quarantined, rows.size()) << "other pairs must keep their rows";
+  const KnowledgeBase kb{sweep::Dataset(std::move(rows))};
+  EXPECT_THROW(kb.best_known_config(app, arch), std::invalid_argument);
+  EXPECT_THROW(kb.best_known_speedup(app, arch), std::invalid_argument);
 }
 
 TEST(Tuner, ExhaustiveFindsTheGroundTruthOptimum) {

@@ -20,6 +20,7 @@
 #include "rt/thread_team.hpp"
 #include "serve/wire.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 #include "sweep/config_space.hpp"
 #include "sweep/harness.hpp"
 #include "sim/storage_chaos.hpp"
@@ -167,7 +168,7 @@ TEST(DatasetFuzz, BestPerSettingInvariantsOnRandomData) {
     s.speedup = s.default_runtime / s.mean_runtime;
     dataset.add(s);
   }
-  const auto bests = analysis::best_per_setting(dataset);
+  const auto bests = analysis::best_per_setting(store::StoreReader(dataset));
   EXPECT_LE(bests.size(), 18u);  // 3 archs x 3 apps x 2 inputs
   for (const auto& b : bests) {
     // The reported best config must actually attain the best speedup.

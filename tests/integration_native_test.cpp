@@ -12,6 +12,7 @@
 #include "analysis/speedup.hpp"
 #include "core/study.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 #include "sweep/harness.hpp"
 
 namespace omptune {
@@ -43,7 +44,7 @@ TEST(NativeIntegration, MiniSweepFlowsThroughThePipeline) {
   EXPECT_EQ(defaults, 2u);  // one per setting
 
   // The analysis layer accepts native data unchanged.
-  const auto bests = analysis::best_per_setting(dataset);
+  const auto bests = analysis::best_per_setting(store::StoreReader(dataset));
   ASSERT_EQ(bests.size(), 2u);
   for (const auto& b : bests) {
     EXPECT_GE(b.best_speedup, 1.0);  // the best is at least the default

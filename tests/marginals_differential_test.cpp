@@ -3,7 +3,7 @@
 // once, instead of building the name strings of every row. Its rows must
 // equal, bit for bit, those of the std::map-keyed implementation it
 // replaced — kept below verbatim, together with the sort-based quantile it
-// called — on the Dataset overload and on the store overload at every pool
+// called — on a Dataset's in-memory image and on the store at every pool
 // size.
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 
 #include "analysis/marginals.hpp"
 #include "analysis/variables.hpp"
+#include "stats/descriptive.hpp"
 #include "sim/executor.hpp"
 #include "store/reader.hpp"
 #include "sweep/dataset.hpp"
@@ -185,11 +186,12 @@ void check_store(const sweep::Dataset& dataset, const std::string& name) {
     const std::vector<analysis::MarginalRow> want =
         reference_marginals(ok, per_arch);
     ASSERT_FALSE(want.empty());
-    expect_identical(analysis::value_marginals(ok, per_arch), want,
-                     label + " Dataset(ok_samples)");
-    expect_identical(analysis::value_marginals(dataset, per_arch),
-                     reference_marginals(dataset, per_arch),
-                     label + " Dataset(all rows)");
+    expect_identical(analysis::value_marginals(store::StoreReader(ok), per_arch),
+                     want, label + " image(ok_samples)");
+    // The image of every row skips the quarantined ones, like the store.
+    expect_identical(
+        analysis::value_marginals(store::StoreReader(dataset), per_arch), want,
+        label + " image(all rows)");
     expect_identical(analysis::value_marginals(reader, per_arch), want,
                      label + " store, no pool");
     for (const auto& pool : pools) {

@@ -11,6 +11,7 @@
 #include "core/tuner.hpp"
 #include "sim/executor.hpp"
 #include "stats/wilcoxon.hpp"
+#include "store/reader.hpp"
 
 namespace omptune {
 namespace {
@@ -214,7 +215,8 @@ TEST(FigThree, VariableInfluenceOrderingPerArchitecture) {
 
 TEST(TableVII, NqueensTurnaroundEverywhereCgReductionOnSkylake) {
   const auto recs =
-      analysis::recommend_for_app(full_study().dataset, "nqueens");
+      analysis::recommend_for_app(
+          store::StoreReader(full_study().dataset), "nqueens");
   const bool turnaround_everywhere = std::any_of(
       recs.begin(), recs.end(), [](const analysis::Recommendation& r) {
         return r.arch == "all" && r.variable == "KMP_LIBRARY" &&

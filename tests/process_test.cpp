@@ -323,6 +323,26 @@ TEST(MappedFile, EmptyFileHasSizeZeroInBothModes) {
       0u);
 }
 
+TEST(MappedFile, AdoptedBytesServeLikeTheBufferedFallback) {
+  // Short bytes live inside the string object itself, so a move must
+  // re-point data() at the new owner's copy.
+  for (const std::string& payload :
+       {std::string(), std::string("abc"), std::string(4096, 'x')}) {
+    util::MappedFile adopted("<label>", payload);
+    const util::MappedFile moved(std::move(adopted));
+    EXPECT_FALSE(moved.memory_mapped());
+    EXPECT_EQ(moved.path(), "<label>");
+    ASSERT_EQ(moved.size(), payload.size());
+    if (payload.empty()) {
+      EXPECT_EQ(moved.data(), nullptr);
+      continue;
+    }
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(moved.data()),
+                          moved.size()),
+              payload);
+  }
+}
+
 TEST(MappedFile, MissingFileThrows) {
   EXPECT_THROW(util::MappedFile("/no/such/file/anywhere"),
                std::runtime_error);

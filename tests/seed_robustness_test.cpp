@@ -9,6 +9,7 @@
 
 #include "core/study.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 
 namespace omptune {
 namespace {
@@ -47,7 +48,8 @@ TEST_P(SeedRobustness, HeadlineClaimsHoldUnderThisSeed) {
   EXPECT_LT(skylake_xs, 1.15);
 
   // NQueens: turnaround everywhere.
-  const auto recs = analysis::recommend_for_app(result.dataset, "nqueens");
+  const auto recs = analysis::recommend_for_app(
+      store::StoreReader(result.dataset), "nqueens");
   EXPECT_TRUE(std::any_of(recs.begin(), recs.end(), [](const auto& rec) {
     return rec.arch == "all" && rec.variable == "KMP_LIBRARY" &&
            rec.value == "turnaround";

@@ -28,6 +28,7 @@
 #include "serve/snapshot.hpp"
 #include "serve/wire.hpp"
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "sweep/harness.hpp"
 #include "util/env.hpp"
@@ -356,8 +357,7 @@ TEST(Snapshot, AnswersMatchOfflineAnalysis) {
   EXPECT_EQ(snapshot->rows(), store.dataset.size());
 
   // Best config per (app, arch) equals the knowledge base's answer.
-  const sweep::Dataset ok = store.dataset.ok_samples();  // KB borrows it
-  const core::KnowledgeBase kb(ok, 1.01);
+  const core::KnowledgeBase kb(store.dataset.ok_samples(), 1.01);
   const serve::BestConfig* best =
       snapshot->best_for_pair(store.app, store.arch);
   ASSERT_NE(best, nullptr);
@@ -376,7 +376,8 @@ TEST(Snapshot, AnswersMatchOfflineAnalysis) {
   EXPECT_EQ(*fallback, kb.variable_priority("no-such-app", store.arch));
 
   // Marginals equal value_marginals, pooled and per-arch.
-  const auto pooled = analysis::value_marginals(store.dataset.ok_samples(), false);
+  const auto pooled = analysis::value_marginals(
+      store::StoreReader(store.dataset.ok_samples()), false);
   ASSERT_FALSE(pooled.empty());
   const analysis::MarginalRow& row = pooled.front();
   const analysis::MarginalRow* got =
@@ -414,6 +415,80 @@ TEST(Snapshot, MultiShardMergesAndLabelsOpenFailures) {
   }
 }
 
+void expect_same_best(const serve::BestConfig* got,
+                      const serve::BestConfig* want, const std::string& key) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << key;
+  if (want == nullptr) return;
+  EXPECT_EQ(got->speedup, want->speedup) << key;
+  EXPECT_EQ(got->config_key, want->config_key) << key;
+}
+
+TEST(Snapshot, MultiShardAnswersLikeOneStoreOfTheConcatenatedRows) {
+  // Both shards hold the same settings, so the concatenation interleaves
+  // every setting; shard b also carries quarantined placeholders.
+  const std::string dir = temp_dir("snapshot_concat");
+  const sweep::Dataset a = study_dataset(5);
+  std::vector<sweep::Sample> b_rows = study_dataset(9).samples();
+  for (std::size_t i = 1; i < b_rows.size(); i += 7) {
+    if (b_rows[i].is_default) continue;
+    b_rows[i].status = sweep::SampleStatus::Quarantined;
+    b_rows[i].error = "injected";
+    b_rows[i].speedup = 0.0;
+  }
+  const sweep::Dataset b(std::move(b_rows));
+  sweep::Dataset both = a;
+  both.append(b);
+  const std::string path_a = util::path_join(dir, "a.omps");
+  const std::string path_b = util::path_join(dir, "b.omps");
+  const std::string path_both = util::path_join(dir, "both.omps");
+  store::write_store(path_a, a);
+  store::write_store(path_b, b);
+  store::write_store(path_both, both);
+
+  const auto sharded = serve::Snapshot::load({path_a, path_b}, 1);
+  const auto single = serve::Snapshot::load({path_both}, 1);
+  EXPECT_EQ(sharded->rows(), single->rows());
+  for (const sweep::Sample& s : both.samples()) {
+    const std::string key = s.arch + "/" + s.app + "/" + s.input + "/" +
+                            std::to_string(s.threads);
+    expect_same_best(sharded->best_for_setting(s.arch, s.app, s.input, s.threads),
+                     single->best_for_setting(s.arch, s.app, s.input, s.threads),
+                     key);
+    expect_same_best(sharded->best_for_pair(s.app, s.arch),
+                     single->best_for_pair(s.app, s.arch), key);
+    for (const std::string& app : {s.app, std::string("no-such-app")}) {
+      const auto* got = sharded->priority(app, s.arch);
+      const auto* want = single->priority(app, s.arch);
+      ASSERT_NE(got, nullptr) << key;
+      ASSERT_NE(want, nullptr) << key;
+      EXPECT_EQ(*got, *want) << key;
+    }
+  }
+  ASSERT_NE(sharded->priority("no-such-app", "no-such-arch"), nullptr);
+  EXPECT_EQ(*sharded->priority("no-such-app", "no-such-arch"),
+            *single->priority("no-such-app", "no-such-arch"));
+
+  const store::StoreReader image(both);
+  for (const bool per_arch : {true, false}) {
+    for (const analysis::MarginalRow& row :
+         analysis::value_marginals(image, per_arch)) {
+      const std::string key = row.arch + "/" + row.variable + "/" + row.value;
+      const analysis::MarginalRow* got =
+          sharded->marginal(row.arch, row.variable, row.value);
+      const analysis::MarginalRow* want =
+          single->marginal(row.arch, row.variable, row.value);
+      ASSERT_NE(got, nullptr) << key;
+      ASSERT_NE(want, nullptr) << key;
+      EXPECT_EQ(got->samples, want->samples) << key;
+      EXPECT_EQ(got->mean_speedup, want->mean_speedup) << key;
+      EXPECT_EQ(got->median_speedup, want->median_speedup) << key;
+      EXPECT_EQ(got->p95_speedup, want->p95_speedup) << key;
+      EXPECT_EQ(got->optimal_share, want->optimal_share) << key;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- server ----------------------------------------------------------------
 
 serve::ServerOptions test_options(const std::string& dir) {
@@ -442,7 +517,8 @@ TEST(Server, BatchedQueriesStatsAndCacheHits) {
   marginal.type = serve::MsgType::Marginal;
   marginal.arch = "all";
   {
-    const auto rows = analysis::value_marginals(store.dataset.ok_samples(), false);
+    const auto rows = analysis::value_marginals(
+        store::StoreReader(store.dataset.ok_samples()), false);
     marginal.variable = rows.front().variable;
     marginal.value = rows.front().value;
   }

@@ -199,6 +199,31 @@ TEST(Store, EmptyDatasetRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Store, InMemoryImageReadsLikeTheFile) {
+  // A Dataset is analysed through a reader over its serialize_store image:
+  // same validation, same rows, errors labelled "<in-memory dataset>".
+  const sweep::Dataset original = sample_dataset();
+  const store::StoreReader image(original);
+  EXPECT_FALSE(image.memory_mapped());
+  EXPECT_EQ(image.path(), "<in-memory dataset>");
+  EXPECT_EQ(image.file_bytes(), store::serialize_store(original).size());
+  const sweep::Dataset loaded = image.load();
+  ASSERT_EQ(loaded.size(), original.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    expect_samples_equal(loaded.samples()[i], original.samples()[i]);
+  }
+
+  const store::StoreReader empty{sweep::Dataset()};
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.setting_count(), 0u);
+  EXPECT_TRUE(analysis::recommend_for_app(empty, "cg").empty());
+
+  std::vector<sweep::Sample> rows = original.samples();
+  rows.front().speedup = std::nan("");
+  EXPECT_THROW(store::StoreReader{sweep::Dataset(std::move(rows))},
+               std::invalid_argument);
+}
+
 TEST(Store, QueryEqualsFilterAndSkipsForeignRuntimeBlocks) {
   const sweep::Dataset dataset = sample_dataset();
   const std::string dir = temp_dir("query");
@@ -285,8 +310,11 @@ TEST(Store, ConcurrentQueriesOnOneReaderAgreeWithSerial) {
         if (slice.size() != expected_sizes[q]) ++mismatches;
         // Interleave the zero-copy path: scan validation races with
         // queries on the same mapping.
+        reader.ensure_scan_validated();
         std::size_t rows = 0;
-        reader.scan([&rows](const store::SettingSlice& s) { rows += s.rows; });
+        for (std::size_t r = 0; r < reader.setting_count(); ++r) {
+          rows += reader.setting_slice(r).rows;
+        }
         if (rows != dataset.size()) ++mismatches;
       }
     });
@@ -344,7 +372,8 @@ TEST(Store, KnowledgeBaseFromStoreMatchesInMemoryAnswers) {
                    reference.best_known_speedup(app, arch));
 
   // Store-backed recommendations match the in-memory extraction.
-  const auto recs_memory = analysis::recommend_for_app(dataset, app);
+  const auto recs_memory =
+      analysis::recommend_for_app(store::StoreReader(dataset), app);
   const auto recs_store = analysis::recommend_for_app(reader, app);
   ASSERT_EQ(recs_store.size(), recs_memory.size());
   for (std::size_t i = 0; i < recs_store.size(); ++i) {

@@ -97,6 +97,7 @@
 #include <vector>
 
 #include "analysis/recommend.hpp"
+#include "analysis/speedup.hpp"
 #include "core/study.hpp"
 #include "serve/client.hpp"
 #include "serve/keeper.hpp"
@@ -391,8 +392,7 @@ int cmd_study(int argc, char** argv) {
   } else {
     sweep::SweepHarness harness(runner, core::StudyOptions{}.repetitions,
                                 core::StudyOptions{}.seed);
-    const sweep::Dataset dataset = harness.run_study(plan, options);
-    result = study.analyze(dataset, &pool);
+    result = study.analyze(harness.run_study(plan, options), &pool);
     std::printf("collected %zu samples\n", result.dataset.size());
     if (harness.last_policy() && harness.last_policy()->total_retries() > 0) {
       std::printf("retries performed: %llu\n",
@@ -565,16 +565,16 @@ int cmd_analyze(int argc, char** argv) {
   sim::ModelRunner runner;
   core::Study study(runner);
   if (path.ends_with(".omps")) {
-    // Store path: speedup artefacts aggregate zero-copy off the column
-    // slices; the ML artefacts' sample materialization is row-parallel.
+    // Store path: the slices are read in place; the ML artefacts' sample
+    // materialization is row-parallel. A CSV is analysed through its image.
     const store::StoreReader reader(path);
     std::printf("loaded %zu samples\n", reader.size());
     print_artifacts(study.analyze_store(reader, &pool));
     return 0;
   }
-  const sweep::Dataset dataset = sweep::Dataset::load_csv_file(path);
+  sweep::Dataset dataset = sweep::Dataset::load_csv_file(path);
   std::printf("loaded %zu samples\n", dataset.size());
-  print_artifacts(study.analyze(dataset, &pool));
+  print_artifacts(study.analyze(std::move(dataset), &pool));
   return 0;
 }
 
@@ -886,8 +886,12 @@ int cmd_recommend(int argc, char** argv) {
     return 0;
   }
   const sweep::Dataset dataset = quick_study(200);
-  const core::KnowledgeBase kb(dataset, 1.01, &pool);
-  print_recommendation(kb, analysis::recommend_for_app(dataset, app), app, arch);
+  const store::StoreReader image(dataset);
+  const core::KnowledgeBase kb(
+      dataset, analysis::best_per_pair(analysis::best_per_setting(image, &pool)),
+      1.01, &pool);
+  print_recommendation(
+      kb, analysis::recommend_for_app(image, app, 0.01, 1.3, &pool), app, arch);
   return 0;
 }
 
