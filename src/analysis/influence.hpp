@@ -12,6 +12,9 @@
 #include "ml/logistic_regression.hpp"
 #include "sweep/dataset.hpp"
 
+namespace omptune::store {
+class StoreReader;
+}
 namespace omptune::util {
 class ThreadPool;
 }
@@ -48,9 +51,10 @@ struct InfluenceMap {
 /// and Strassen showing no reliance where they were not executed.
 ///
 /// Each group's rows are encoded and standardized straight into the
-/// solver's column blocks (no per-group Dataset copy), then every group is
-/// fitted by one lock-step LogisticRegression::fit_batch: each epoch is one
-/// parallel_for over the 1024-row tiles of all groups still running, so
+/// solver's column blocks (no per-group Dataset copy) by the one fitting
+/// core both overloads share, then every group is fitted by one lock-step
+/// LogisticRegression::fit_batch: each epoch is one parallel_for over the
+/// 1024-row tiles of all groups still running, so
 /// small groups share `pool`'s lanes instead of leaving them idle. Rows
 /// are emitted in group first-appearance order and each group's weights
 /// equal its own fit(), so the map is bit-identical at any thread count.
@@ -58,5 +62,17 @@ InfluenceMap influence_map(const sweep::Dataset& dataset, Grouping grouping,
                            double label_threshold = 1.01,
                            ml::LogisticOptions options = {},
                            const util::ThreadPool* pool = nullptr);
+
+/// The same fit over `reader`'s non-quarantined rows, read straight off its
+/// setting slices: no Sample is materialized. With `arch`, only that
+/// architecture's settings are read. Rows keep store order, so the map is
+/// bit-identical to influence_map(reader.load().ok_samples(), ...) (with
+/// `arch`: of reader.query({arch}).ok_samples()). Runs the reader's scan
+/// validation.
+InfluenceMap influence_map(const store::StoreReader& reader, Grouping grouping,
+                           double label_threshold = 1.01,
+                           ml::LogisticOptions options = {},
+                           const util::ThreadPool* pool = nullptr,
+                           const std::string* arch = nullptr);
 
 }  // namespace omptune::analysis

@@ -78,20 +78,14 @@ class Study {
                       const util::ThreadPool* pool = nullptr) const;
 
   /// Derive the same artefacts from a .omps store: the speedup artefacts
-  /// (upshot, Tables V/VI) aggregate off the store's setting slices, and
-  /// result.dataset is materialized row-parallel on the pool. Identical
-  /// output to analyze(reader.load()).
+  /// (upshot, Tables V/VI) aggregate off the store's setting slices, the
+  /// influence maps fit off the same slices, and only then is
+  /// result.dataset materialized, row-parallel on the pool, for the worst
+  /// trends. Identical output to analyze(reader.load()).
   StudyResult analyze_store(const store::StoreReader& reader,
                             const util::ThreadPool* pool = nullptr) const;
 
  private:
-  /// The one analysis body: speedup artefacts from the per-setting `bests`,
-  /// the influence maps and worst trends from `dataset`'s non-quarantined
-  /// samples.
-  StudyResult derive(const std::vector<analysis::SettingBest>& bests,
-                     sweep::Dataset dataset,
-                     const util::ThreadPool* pool) const;
-
   sim::Runner* runner_;
   StudyOptions options_;
 };

@@ -53,26 +53,19 @@ analysis::PairBests image_pair_bests(const sweep::Dataset& dataset,
       analysis::best_per_setting(store::StoreReader(dataset), pool));
 }
 
-store::StoreQuery arch_query(const std::string& arch) {
-  store::StoreQuery query;
-  query.arch = arch;
-  return query;
-}
-
 }  // namespace
 
-KnowledgeBase::KnowledgeBase(const sweep::Dataset& samples,
-                             analysis::PairBests best_pairs,
+KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
                              double label_threshold,
                              const util::ThreadPool* pool)
-    : best_pair_(std::move(best_pairs)) {
+    : best_pair_(image_pair_bests(dataset, pool)) {
   // Quarantined samples carry zeroed placeholder speedups, which would
   // label them sub-optimal: the maps fit on the rest, as Study::analyze
   // does.
   sweep::Dataset clean_copy;
-  const sweep::Dataset* analysed = &samples;
-  if (samples.quarantined_count() > 0) {
-    clean_copy = samples.ok_samples();
+  const sweep::Dataset* analysed = &dataset;
+  if (dataset.quarantined_count() > 0) {
+    clean_copy = dataset.ok_samples();
     analysed = &clean_copy;
   }
   pair_influence_ = analysis::influence_map(
@@ -83,16 +76,23 @@ KnowledgeBase::KnowledgeBase(const sweep::Dataset& samples,
       pool);
 }
 
-KnowledgeBase::KnowledgeBase(const sweep::Dataset& dataset,
+KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
+                             const std::string& arch,
+                             analysis::PairBests best_pairs,
                              double label_threshold,
                              const util::ThreadPool* pool)
-    : KnowledgeBase(dataset, image_pair_bests(dataset, pool), label_threshold,
-                    pool) {}
+    : pair_influence_(analysis::influence_map(
+          reader, analysis::Grouping::PerArchApplication, label_threshold, {},
+          pool, &arch)),
+      arch_influence_(analysis::influence_map(
+          reader, analysis::Grouping::PerArchitecture, label_threshold, {},
+          pool, &arch)),
+      best_pair_(std::move(best_pairs)) {}
 
 KnowledgeBase::KnowledgeBase(const store::StoreReader& reader,
                              const std::string& arch, double label_threshold,
                              const util::ThreadPool* pool)
-    : KnowledgeBase(reader.query(arch_query(arch)),
+    : KnowledgeBase(reader, arch,
                     analysis::best_per_pair(
                         analysis::best_per_setting(reader, pool), &arch),
                     label_threshold, pool) {}

@@ -35,24 +35,25 @@ namespace omptune::core {
 /// and a best-configuration table per (app, arch) pair. Holds no samples.
 class KnowledgeBase {
  public:
-  /// Fit the influence maps behind variable_priority() on the non-quarantined
-  /// `samples` (one model per group; with a pool those fits run in lock step
-  /// on its lanes, identical maps either way) and answer best_known_config
-  /// from `best_pairs`.
-  KnowledgeBase(const sweep::Dataset& samples, analysis::PairBests best_pairs,
-                double label_threshold = 1.01,
-                const util::ThreadPool* pool = nullptr);
-
-  /// Build from a dataset: the best-config table folds best_per_setting
-  /// over its in-memory .omps image, so non-finite values throw
-  /// std::invalid_argument.
+  /// Build from a dataset: the influence maps behind variable_priority()
+  /// fit on its non-quarantined samples (one model per group; with a pool
+  /// those fits run in lock step on its lanes, identical maps either way),
+  /// and the best-config table folds best_per_setting over its in-memory
+  /// .omps image, so non-finite values throw std::invalid_argument.
   explicit KnowledgeBase(const sweep::Dataset& dataset,
                          double label_threshold = 1.01,
                          const util::ThreadPool* pool = nullptr);
 
-  /// Build from an indexed .omps store for one `arch`: the fits materialize
-  /// only that architecture's slice, and the best-config table keeps only
-  /// its pairs. The reader is only used during construction.
+  /// Build from an indexed .omps store for one `arch`: the fits read that
+  /// architecture's non-quarantined rows straight off the store's setting
+  /// slices (no Sample is materialized), and best_known_config answers from
+  /// `best_pairs`. The reader is only used during construction.
+  KnowledgeBase(const store::StoreReader& reader, const std::string& arch,
+                analysis::PairBests best_pairs, double label_threshold = 1.01,
+                const util::ThreadPool* pool = nullptr);
+
+  /// The same, with the best-config table of `arch`'s pairs folded from the
+  /// store's per-setting bests.
   KnowledgeBase(const store::StoreReader& reader, const std::string& arch,
                 double label_threshold = 1.01,
                 const util::ThreadPool* pool = nullptr);

@@ -121,17 +121,23 @@ std::vector<double> FeatureEncoder::encode_sample(const sweep::Sample& s) const 
 
 void FeatureEncoder::encode_sample_into(const sweep::Sample& s,
                                         double* out) const {
-  if (options_.include_architecture) *out++ = encode_arch(s.arch);
-  if (options_.include_application) *out++ = encode_app(s.app);
-  if (options_.include_input_size) *out++ = encode_input(s.input);
-  if (options_.include_threads) *out++ = static_cast<double>(s.threads);
-  *out++ = encode_places(s.config.places);
-  *out++ = encode_bind(s.config.bind);
-  *out++ = encode_schedule(s.config.schedule);
-  *out++ = encode_library(s.config.library);
-  *out++ = encode_blocktime(s.config.blocktime_ms);
-  *out++ = encode_reduction(s.config.reduction);
-  *out = encode_align(s.config.align_alloc);
+  encode_into(s.arch, s.app, s.input, s.threads, s.config, out);
+}
+
+void FeatureEncoder::encode_into(const std::string& arch, const std::string& app,
+                                 const std::string& input, int threads,
+                                 const rt::RtConfig& config, double* out) const {
+  if (options_.include_architecture) *out++ = encode_arch(arch);
+  if (options_.include_application) *out++ = encode_app(app);
+  if (options_.include_input_size) *out++ = encode_input(input);
+  if (options_.include_threads) *out++ = static_cast<double>(threads);
+  *out++ = encode_places(config.places);
+  *out++ = encode_bind(config.bind);
+  *out++ = encode_schedule(config.schedule);
+  *out++ = encode_library(config.library);
+  *out++ = encode_blocktime(config.blocktime_ms);
+  *out++ = encode_reduction(config.reduction);
+  *out = encode_align(config.align_alloc);
 }
 
 Matrix FeatureEncoder::encode(const sweep::Dataset& dataset) const {

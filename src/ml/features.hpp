@@ -41,13 +41,23 @@ class FeatureEncoder {
   /// Encode one sample into out[0, num_features()).
   void encode_sample_into(const sweep::Sample& sample, double* out) const;
 
+  /// Encode one row given as its fields (a store slice row has no Sample).
+  void encode_into(const std::string& arch, const std::string& app,
+                   const std::string& input, int threads,
+                   const rt::RtConfig& config, double* out) const;
+
   /// Optimal / sub-optimal labels: speedup > threshold (paper: 1.01).
   static std::vector<int> labels(const sweep::Dataset& dataset,
                                  double threshold = 1.01);
 
+  /// One row's label from its speedup.
+  static int label(double speedup, double threshold = 1.01) {
+    return speedup > threshold ? 1 : 0;
+  }
+
   /// One sample's label.
   static int label(const sweep::Sample& sample, double threshold = 1.01) {
-    return sample.speedup > threshold ? 1 : 0;
+    return label(sample.speedup, threshold);
   }
 
  private:

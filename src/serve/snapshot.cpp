@@ -96,11 +96,9 @@ std::shared_ptr<const Snapshot> Snapshot::load(
   // walk that ladder, so a pair the study never covered still gets the
   // most useful ordering available — without a model fit on the hot path.
   for (const std::string& arch : reader.archs()) {
-    store::StoreQuery query;
-    query.arch = arch;
     // Only the priorities are read here, so the knowledge base needs no
-    // best-config table.
-    const core::KnowledgeBase kb(reader.query(query), {}, 1.01, pool);
+    // best-config table; its fits read the arch's slices in place.
+    const core::KnowledgeBase kb(reader, arch, {}, 1.01, pool);
     for (const std::string& app : reader.apps()) {
       snapshot->priority_[pair_key(app, arch)] = kb.variable_priority(app, arch);
     }

@@ -9,24 +9,22 @@ namespace omptune::store {
 
 CompactReport compact_journal(const sweep::StudyJournal& journal,
                               const std::string& out_path) {
+  // Entries stream through the builder one at a time: only one entry's
+  // Samples are ever alive, the kept rows live in column form.
   CompactReport report;
-  sweep::Dataset combined;
+  StoreBuilder builder(StoreBuilder::Duplicates::Resolve);
   for (const std::string& name : journal.entry_files()) {
-    sweep::Dataset entry =
+    const sweep::Dataset entry =
         sweep::Dataset::load_csv_file(util::path_join(journal.directory(), name));
     report.samples_in += entry.size();
-    combined.append(std::move(entry));
+    for (const sweep::Sample& sample : entry.samples()) builder.add(sample);
     ++report.entries;
   }
-
-  sweep::Dataset::DedupeReport dedupe;
-  sweep::Dataset deduped = std::move(combined).deduped(&dedupe);
-  report.duplicates_dropped = dedupe.duplicates;
-  report.replaced = dedupe.replaced;
-  report.samples_out = deduped.size();
-  report.quarantined = deduped.quarantined_count();
-
-  write_store(out_path, deduped);
+  report.duplicates_dropped = builder.dedupe().duplicates;
+  report.replaced = builder.dedupe().replaced;
+  report.samples_out = builder.rows();
+  report.quarantined = builder.quarantined();
+  util::atomic_write_file(out_path, std::move(builder).finish());
   return report;
 }
 

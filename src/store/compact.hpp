@@ -26,10 +26,11 @@ struct CompactReport {
 };
 
 /// Compact every completed entry of `journal` into an .omps store at
-/// `out_path` (atomic replace). Entries are concatenated in file-name order
-/// and deduplicated by measurement identity, best status winning — the
-/// behavior StudyJournal::compact documents. Throws
-/// util::DataCorruptionError if any entry fails CSV validation.
+/// `out_path` (atomic replace). Entries stream in file-name order through
+/// one StoreBuilder that deduplicates by measurement identity, best status
+/// winning — the behavior StudyJournal::compact documents — so only one
+/// entry's Samples are held at a time. Throws util::DataCorruptionError if
+/// any entry fails CSV validation.
 CompactReport compact_journal(const sweep::StudyJournal& journal,
                               const std::string& out_path);
 

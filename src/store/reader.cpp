@@ -523,6 +523,21 @@ sweep::Dataset StoreReader::load(const util::ThreadPool* pool) const {
   return sweep::Dataset(std::move(samples));
 }
 
+void StoreReader::for_each_sample(
+    const std::function<void(const sweep::Sample&)>& visit) const {
+  verify_checksums({SectionKind::Dictionaries, SectionKind::KeyColumns,
+                    SectionKind::ConfigColumns, SectionKind::StatColumns,
+                    SectionKind::Runtimes, SectionKind::Errors,
+                    SectionKind::Index});
+  sweep::Sample sample;
+  std::uint64_t runtime_bytes = 0;
+  for (std::size_t row = 0; row < sample_count_; ++row) {
+    runtime_bytes += materialize_row(row, sample);
+    visit(sample);
+  }
+  runtime_bytes_touched_.fetch_add(runtime_bytes, std::memory_order_relaxed);
+}
+
 void StoreReader::ensure_scan_validated() const {
   std::call_once(scan_validated_, [this] {
     // The metadata sections (dictionaries, key columns, index) were

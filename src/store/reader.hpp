@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <optional>
@@ -168,6 +169,11 @@ class StoreReader {
   /// With a pool, rows materialize in parallel (the result is identical —
   /// each row is independent and lands at its own position).
   sweep::Dataset load(const util::ThreadPool* pool = nullptr) const;
+
+  /// Every check load() runs, but rows materialize one at a time into one
+  /// reused Sample that `visit` sees, in row order: a streaming consumer
+  /// (tiered compaction's validation passes) never holds more than a row.
+  void for_each_sample(const std::function<void(const sweep::Sample&)>& visit) const;
 
   /// Materialize only the rows matching `query`, located via the index.
   /// Skips whole-section checksums by design (the point is not reading the

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "sweep/dataset.hpp"
 #include "util/errors.hpp"
@@ -91,7 +92,7 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
         // A content-named intermediate from a previous (crashed) run: adopt
         // it iff it still validates end to end.
         try {
-          sweep::Dataset::load_store(inter_path);
+          StoreReader(inter_path).for_each_sample([](const sweep::Sample&) {});
           ++report.reused_intermediates;
           if (options.progress) {
             options.progress("tiered: reusing intermediate " + inter_path);
@@ -102,12 +103,14 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
           util::remove_file(inter_path);  // torn scratch file; rebuild
         }
       }
-      sweep::Dataset combined;
+      // Members stream through one builder: only one member's Samples are
+      // alive at a time.
+      StoreBuilder builder(StoreBuilder::Duplicates::Resolve);
       for (const std::string& member : group) {
         try {
-          sweep::Dataset loaded = sweep::Dataset::load_store(member);
+          const sweep::Dataset loaded = sweep::Dataset::load_store(member);
           if (level == 0) report.samples_in += loaded.size();
-          combined.append(std::move(loaded));
+          for (const sweep::Sample& sample : loaded.samples()) builder.add(sample);
         } catch (const util::DataCorruptionError& err) {
           // Only original inputs may be forgiven; a bad intermediate at a
           // deeper level is our own scratch corrupted underneath us.
@@ -122,11 +125,9 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
           throw;
         }
       }
-      sweep::Dataset::DedupeReport dedupe;
-      sweep::Dataset deduped = std::move(combined).deduped(&dedupe);
-      report.duplicates_dropped += dedupe.duplicates;
-      report.replaced += dedupe.replaced;
-      write_store(inter_path, deduped);
+      report.duplicates_dropped += builder.dedupe().duplicates;
+      report.replaced += builder.dedupe().replaced;
+      util::atomic_write_file(inter_path, std::move(builder).finish());
       next.push_back(inter_path);
     }
     current = std::move(next);
@@ -150,11 +151,10 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
   // Validate the final store before publishing it over the previous output,
   // and pull the output tallies from what will actually be published.
   const std::string& final_path = current.front();
-  {
-    const sweep::Dataset final_dataset = sweep::Dataset::load_store(final_path);
-    report.samples_out = final_dataset.size();
-    report.quarantined = final_dataset.quarantined_count();
-  }
+  StoreReader(final_path).for_each_sample([&report](const sweep::Sample& sample) {
+    ++report.samples_out;
+    if (sample.is_quarantined()) ++report.quarantined;
+  });
   // Atomic publish: rename + parent-dir fsync. A crash before this line
   // leaves the previous out_path intact; after it, the new store is durable.
   util::rename_file(final_path, out_path);

@@ -6,9 +6,11 @@
 //
 // Why tiers instead of loading everything at once: a coordinator-scale
 // corpus arrives as hundreds of shard stores, and a single flat merge would
-// hold every sample in memory simultaneously. Merging `fan_in` stores at a
-// time bounds peak memory to one group per level while producing a result
-// PROVABLY identical to the flat merge: the dedupe rule keeps the
+// hold every sample in memory simultaneously. Each group's members stream
+// one at a time through a store::StoreBuilder, so a merge holds one
+// member's Samples plus the group's rows in column form, and validation
+// passes read one row at a time. The result is PROVABLY identical to the
+// flat merge: the dedupe rule keeps the
 // best-status occurrence at the identity's first-appearance position, which
 // is associative under consecutive grouping — so tier structure (which
 // depends only on the input count) never leaks into the output bytes.

@@ -1,9 +1,11 @@
 #include "store/writer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "store/format.hpp"
@@ -15,27 +17,6 @@ namespace {
 
 using sweep::Dataset;
 using sweep::Sample;
-
-/// First-appearance-ordered string dictionary.
-struct Dict {
-  std::vector<std::string> values;
-  std::map<std::string, std::uint32_t> codes;
-
-  std::uint32_t code(const std::string& value) {
-    const auto [it, inserted] =
-        codes.emplace(value, static_cast<std::uint32_t>(values.size()));
-    if (inserted) values.push_back(value);
-    return it->second;
-  }
-};
-
-void append_dict(std::string& out, const Dict& dict) {
-  append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(dict.values.size()));
-  for (const std::string& value : dict.values) {
-    append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(value.size()));
-    out.append(value);
-  }
-}
 
 std::uint16_t narrow16(std::uint32_t code, const char* what) {
   if (code > 0xFFFFu) {
@@ -53,194 +34,186 @@ double finite_or_throw(double value, const char* what, std::size_t row) {
   return value;
 }
 
-void pad_to_8(std::string& out) { out.resize(pad8(out.size()), '\0'); }
-
-/// Pad an in-section array boundary to `align` bytes.
-void pad_to(std::string& out, std::size_t align) {
-  while (out.size() % align != 0) out.push_back('\0');
+/// Pad the section that began at `start` to a multiple of `align` bytes.
+void pad_section(std::string& out, std::size_t start, std::size_t align) {
+  while ((out.size() - start) % align != 0) out.push_back('\0');
 }
+
+/// A column's bytes as they sit in memory (the format is little-endian, as
+/// is every host the store runs on; format.hpp asserts it).
+template <typename T>
+void append_column(std::string& out, const std::vector<T>& column) {
+  out.append(reinterpret_cast<const char*>(column.data()),
+             column.size() * sizeof(T));
+}
+
+template <typename T>
+void append_finite_column(std::string& out, const std::vector<T>& column,
+                          const char* what) {
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    finite_or_throw(column[i], what, i);
+  }
+  append_column(out, column);
+}
+
+constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
+constexpr const char* kDictNames[5] = {"arch", "app", "input", "suite", "kind"};
 
 }  // namespace
 
-std::string serialize_store(const Dataset& dataset) {
-  const std::vector<Sample>& samples = dataset.samples();
-  const std::size_t n = samples.size();
+std::uint32_t StoreBuilder::Interner::code(const std::string& value) {
+  const auto it = codes.find(value);
+  if (it != codes.end()) return it->second;
+  const auto next = static_cast<std::uint32_t>(values.size());
+  values.push_back(value);
+  codes.emplace(values.back(), next);
+  return next;
+}
+
+sweep::SampleKey StoreBuilder::key_at(std::size_t row) const {
+  rt::RtConfig config;
+  config.num_threads = num_threads_[row];
+  config.places = static_cast<arch::PlacesKind>(places_[row]);
+  config.bind = static_cast<arch::BindKind>(bind_[row]);
+  config.schedule = static_cast<rt::ScheduleKind>(schedule_[row]);
+  config.chunk = chunk_[row];
+  config.library = static_cast<rt::LibraryMode>(library_[row]);
+  config.blocktime_ms = blocktime_[row];
+  config.reduction = static_cast<rt::ReductionMethod>(reduction_[row]);
+  config.align_alloc = align_[row];
+  config.barrier = static_cast<rt::BarrierKind>(barrier_[row]);
+  return sweep::SampleKey(names_[0].values[codes_[0][row]],
+                          names_[1].values[codes_[1][row]],
+                          names_[2].values[codes_[2][row]], threads_[row],
+                          config);
+}
+
+void StoreBuilder::add(const Sample& sample) {
+  std::size_t row = rows();
+  if (duplicates_ == Duplicates::Resolve &&
+      deduper_.admit(sweep::SampleKey(sample), sample.status, row,
+                     [this](std::size_t r) { return key_at(r); }) ==
+          sweep::Deduper::Verdict::Dropped) {
+    return;
+  }
+  store_row(row, sample);
+}
+
+void StoreBuilder::store_row(std::size_t row, const Sample& s) {
+  const bool append = row == rows();
+  const auto put = [&](auto& column, auto value) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    if (append) {
+      column.push_back(static_cast<T>(value));
+    } else {
+      column[row] = static_cast<T>(value);
+    }
+  };
+  if (!append && status_[row] == static_cast<std::uint8_t>(sweep::SampleStatus::Quarantined)) {
+    --quarantined_;
+  }
+  if (s.is_quarantined()) ++quarantined_;
+
+  const std::string* names[6] = {&s.arch, &s.app, &s.input,
+                                 &s.suite, &s.kind, &s.error};
+  for (std::size_t d = 0; d < 6; ++d) put(codes_[d], names_[d].code(*names[d]));
+  put(threads_, s.threads);
+  put(blocktime_, s.config.blocktime_ms);
+  put(num_threads_, s.config.num_threads);
+  put(chunk_, s.config.chunk);
+  put(align_, s.config.align_alloc);
+  put(attempts_, s.attempts);
+  put(places_, s.config.places);
+  put(bind_, s.config.bind);
+  put(schedule_, s.config.schedule);
+  put(library_, s.config.library);
+  put(reduction_, s.config.reduction);
+  put(status_, s.status);
+  put(is_default_, s.is_default ? 1 : 0);
+  put(barrier_, s.config.barrier);
+  put(mean_, s.mean_runtime);
+  put(default_, s.default_runtime);
+  put(speedup_, s.speedup);
+
+  // A replacement reuses its row's runtime slots when they are enough.
+  std::size_t at = runtime_pool_.size();
+  if (append || s.runtimes.size() > runtime_count_[row]) {
+    runtime_pool_.insert(runtime_pool_.end(), s.runtimes.begin(),
+                         s.runtimes.end());
+  } else {
+    at = runtime_at_[row];
+    std::copy(s.runtimes.begin(), s.runtimes.end(),
+              runtime_pool_.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  put(runtime_at_, at);
+  put(runtime_count_, s.runtimes.size());
+}
+
+std::string StoreBuilder::finish() && {
+  const std::size_t n = rows();
   std::size_t reps = 0;
-  for (const Sample& s : samples) reps = std::max(reps, s.runtimes.size());
+  for (const std::size_t count : runtime_count_) reps = std::max(reps, count);
 
-  // ---- dictionaries (and per-sample codes, built in one pass) ----
-  Dict arch_dict, app_dict, input_dict, suite_dict, kind_dict, error_dict;
-  std::vector<std::uint16_t> arch_code(n), app_code(n), input_code(n);
-  std::vector<std::uint16_t> suite_code(n), kind_code(n);
-  std::vector<std::uint32_t> error_code(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = samples[i];
-    arch_code[i] = narrow16(arch_dict.code(s.arch), "arch");
-    app_code[i] = narrow16(app_dict.code(s.app), "app");
-    input_code[i] = narrow16(input_dict.code(s.input), "input");
-    suite_code[i] = narrow16(suite_dict.code(s.suite), "suite");
-    kind_code[i] = narrow16(kind_dict.code(s.kind), "kind");
-    error_code[i] = error_dict.code(s.error);
-  }
-
-  std::string dictionaries;
-  append_dict(dictionaries, arch_dict);
-  append_dict(dictionaries, app_dict);
-  append_dict(dictionaries, input_dict);
-  append_dict(dictionaries, suite_dict);
-  append_dict(dictionaries, kind_dict);
-  append_dict(dictionaries, error_dict);
-  pad_to_8(dictionaries);
-
-  // ---- key columns ----
-  std::string key_cols;
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, arch_code[i]);
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, app_code[i]);
-  for (std::size_t i = 0; i < n; ++i) append_scalar(key_cols, input_code[i]);
-  pad_to(key_cols, 4);
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar<std::int32_t>(key_cols, samples[i].threads);
-  }
-  pad_to_8(key_cols);
-
-  // ---- config columns (widest first so every array stays aligned) ----
-  std::string config_cols;
-  for (const Sample& s : samples) {
-    append_scalar<std::int64_t>(config_cols, s.config.blocktime_ms);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.num_threads);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.chunk);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.config.align_alloc);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::int32_t>(config_cols, s.attempts);
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint16_t>(config_cols,
-                                 static_cast<std::uint16_t>(s.runtimes.size()));
-  }
-  for (const Sample& s : samples) append_scalar(config_cols, suite_code[&s - samples.data()]);
-  for (const Sample& s : samples) append_scalar(config_cols, kind_code[&s - samples.data()]);
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.places));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, static_cast<std::uint8_t>(s.config.bind));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.schedule));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.library));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols,
-                                static_cast<std::uint8_t>(s.config.reduction));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, static_cast<std::uint8_t>(s.status));
-  }
-  for (const Sample& s : samples) {
-    append_scalar<std::uint8_t>(config_cols, s.is_default ? 1 : 0);
-  }
-  pad_to_8(config_cols);
-
-  // ---- stat columns ----
-  std::string stat_cols;
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols, finite_or_throw(samples[i].mean_runtime, "mean_runtime", i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols,
-                  finite_or_throw(samples[i].default_runtime, "default_runtime", i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    append_scalar(stat_cols, finite_or_throw(samples[i].speedup, "speedup", i));
-  }
-
-  // ---- runtimes (fixed stride, zero-padded like the CSV schema) ----
-  std::string runtimes;
-  runtimes.reserve(n * reps * sizeof(double));
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = samples[i];
-    for (std::size_t r = 0; r < reps; ++r) {
-      append_scalar(runtimes,
-                    r < s.runtimes.size()
-                        ? finite_or_throw(s.runtimes[r], "runtime", i)
-                        : 0.0);
+  // ---- dictionaries: renumber in first appearance over the kept rows ----
+  std::vector<std::string_view> dicts[6];
+  {
+    std::vector<std::uint32_t> remap[6];
+    for (std::size_t d = 0; d < 6; ++d) {
+      remap[d].assign(names_[d].values.size(), kUnassigned);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t d = 0; d < 6; ++d) {
+        std::uint32_t& code = codes_[d][r];
+        std::uint32_t& final_code = remap[d][code];
+        if (final_code == kUnassigned) {
+          final_code = static_cast<std::uint32_t>(dicts[d].size());
+          dicts[d].push_back(names_[d].values[code]);
+        }
+        code = final_code;
+        if (d < 5) narrow16(code, kDictNames[d]);
+      }
     }
   }
 
-  // ---- error codes ----
-  std::string errors;
-  for (std::size_t i = 0; i < n; ++i) append_scalar(errors, error_code[i]);
-  pad_to_8(errors);
-
   // ---- index: runs of identical (arch, app, input, threads) keys ----
   struct Run {
-    std::uint16_t arch, app, input;
+    std::uint32_t arch, app, input;
     std::int32_t threads;
     std::uint64_t first_row, row_count;
   };
   std::vector<Run> runs;
   for (std::size_t i = 0; i < n; ++i) {
-    const bool extends = !runs.empty() && runs.back().arch == arch_code[i] &&
-                         runs.back().app == app_code[i] &&
-                         runs.back().input == input_code[i] &&
-                         runs.back().threads == samples[i].threads;
+    const bool extends = !runs.empty() && runs.back().arch == codes_[0][i] &&
+                         runs.back().app == codes_[1][i] &&
+                         runs.back().input == codes_[2][i] &&
+                         runs.back().threads == threads_[i];
     if (extends) {
       ++runs.back().row_count;
     } else {
-      runs.push_back(Run{arch_code[i], app_code[i], input_code[i],
-                         samples[i].threads, i, 1});
+      runs.push_back(Run{codes_[0][i], codes_[1][i], codes_[2][i], threads_[i], i, 1});
     }
   }
-  std::string index;
-  append_scalar<std::uint64_t>(index, runs.size());
-  for (const Run& run : runs) {
-    append_scalar(index, run.arch);
-    append_scalar(index, run.app);
-    append_scalar(index, run.input);
-    append_scalar<std::uint16_t>(index, 0);
-    append_scalar(index, run.threads);
-    append_scalar<std::uint32_t>(index, 0);
-    append_scalar(index, run.first_row);
-    append_scalar(index, run.row_count);
+
+  // ---- section sizes, all known before a byte is written ----
+  std::size_t dict_bytes = 0;
+  for (const auto& dict : dicts) {
+    dict_bytes += 4;
+    for (const std::string_view value : dict) dict_bytes += 4 + value.size();
   }
-
-  // The writer's append order and the shared layout helpers must agree;
-  // catching a drift here turns a subtle reader bug into a loud writer one.
-  if (key_cols.size() != key_columns_layout(n).bytes ||
-      config_cols.size() != config_columns_layout(n).bytes ||
-      stat_cols.size() != stat_columns_layout(n).bytes ||
-      runtimes.size() != runtimes_bytes(n, reps) ||
-      errors.size() != errors_bytes(n)) {
-    throw std::logic_error("write_store: section layout drifted from format.hpp");
-  }
-
-  // ---- assemble header + section table + sections ----
-  const std::string* sections[kSectionCount] = {
-      &dictionaries, &key_cols, &config_cols, &stat_cols,
-      &runtimes,     &errors,   &index};
-  const SectionKind kinds[kSectionCount] = {
-      SectionKind::Dictionaries, SectionKind::KeyColumns,
-      SectionKind::ConfigColumns, SectionKind::StatColumns,
-      SectionKind::Runtimes,      SectionKind::Errors,
-      SectionKind::Index};
-
+  const std::size_t section_bytes[kSectionCount] = {
+      pad8(dict_bytes),
+      key_columns_layout(n).bytes,
+      config_columns_layout(n).bytes,
+      stat_columns_layout(n).bytes,
+      runtimes_bytes(n, reps),
+      errors_bytes(n),
+      8 + runs.size() * kIndexEntryBytes};
   const std::size_t header_bytes =
       kHeaderBytes + kSectionCount * kSectionEntryBytes;
   std::size_t file_bytes = header_bytes;
-  for (const std::string* s : sections) file_bytes += s->size();
+  for (const std::size_t bytes : section_bytes) file_bytes += bytes;
 
+  // ---- header + section table (checksums patched at the end) ----
   std::string out;
   out.reserve(file_bytes);
   out.append(kMagic, sizeof(kMagic));
@@ -251,24 +224,113 @@ std::string serialize_store(const Dataset& dataset) {
   append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(reps));
   append_scalar<std::uint32_t>(out, kSectionCount);
   const std::size_t checksum_at = out.size();
-  append_scalar<std::uint64_t>(out, 0);  // header checksum, patched below
-
+  append_scalar<std::uint64_t>(out, 0);
+  std::size_t section_offset[kSectionCount];
   std::size_t offset = header_bytes;
   for (std::size_t i = 0; i < kSectionCount; ++i) {
-    append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(kinds[i]));
+    section_offset[i] = offset;
+    append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(i + 1));
     append_scalar<std::uint32_t>(out, 0);
     append_scalar<std::uint64_t>(out, offset);
-    append_scalar<std::uint64_t>(out, sections[i]->size());
-    append_scalar<std::uint64_t>(out,
-                                 checksum_bytes(sections[i]->data(), sections[i]->size()));
-    offset += sections[i]->size();
+    append_scalar<std::uint64_t>(out, section_bytes[i]);
+    append_scalar<std::uint64_t>(out, 0);
+    offset += section_bytes[i];
   }
 
-  const std::uint64_t header_checksum = checksum_bytes(out.data(), out.size());
-  std::memcpy(out.data() + checksum_at, &header_checksum, sizeof(header_checksum));
+  // ---- sections, in file order ----
+  std::size_t start = out.size();
+  for (const auto& dict : dicts) {
+    append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(dict.size()));
+    for (const std::string_view value : dict) {
+      append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(value.size()));
+      out.append(value);
+    }
+  }
+  pad_section(out, start, 8);
 
-  for (const std::string* s : sections) out.append(*s);
+  start = out.size();
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (const std::uint32_t code : codes_[d]) {
+      append_scalar(out, static_cast<std::uint16_t>(code));
+    }
+  }
+  pad_section(out, start, 4);
+  append_column(out, threads_);
+  pad_section(out, start, 8);
+
+  // Widest first so every array stays aligned.
+  start = out.size();
+  append_column(out, blocktime_);
+  append_column(out, num_threads_);
+  append_column(out, chunk_);
+  append_column(out, align_);
+  append_column(out, attempts_);
+  for (const std::size_t count : runtime_count_) {
+    append_scalar(out, static_cast<std::uint16_t>(count));
+  }
+  for (std::size_t d = 3; d < 5; ++d) {
+    for (const std::uint32_t code : codes_[d]) {
+      append_scalar(out, static_cast<std::uint16_t>(code));
+    }
+  }
+  for (const auto* column :
+       {&places_, &bind_, &schedule_, &library_, &reduction_, &status_, &is_default_}) {
+    append_column(out, *column);
+  }
+  pad_section(out, start, 8);
+
+  append_finite_column(out, mean_, "mean_runtime");
+  append_finite_column(out, default_, "default_runtime");
+  append_finite_column(out, speedup_, "speedup");
+
+  // Fixed stride, zero-padded like the CSV schema.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* runtimes = runtime_pool_.data() + runtime_at_[i];
+    for (std::size_t r = 0; r < reps; ++r) {
+      append_scalar(out, r < runtime_count_[i]
+                             ? finite_or_throw(runtimes[r], "runtime", i)
+                             : 0.0);
+    }
+  }
+
+  start = out.size();
+  append_column(out, codes_[5]);
+  pad_section(out, start, 8);
+
+  append_scalar<std::uint64_t>(out, runs.size());
+  for (const Run& run : runs) {
+    append_scalar(out, static_cast<std::uint16_t>(run.arch));
+    append_scalar(out, static_cast<std::uint16_t>(run.app));
+    append_scalar(out, static_cast<std::uint16_t>(run.input));
+    append_scalar<std::uint16_t>(out, 0);
+    append_scalar(out, run.threads);
+    append_scalar<std::uint32_t>(out, 0);
+    append_scalar(out, run.first_row);
+    append_scalar(out, run.row_count);
+  }
+
+  // The append order and the shared layout helpers must agree; catching a
+  // drift here turns a subtle reader bug into a loud writer one.
+  if (out.size() != file_bytes) {
+    throw std::logic_error("write_store: section layout drifted from format.hpp");
+  }
+
+  // ---- checksums: every section, then the header over the table ----
+  for (std::size_t i = 0; i < kSectionCount; ++i) {
+    const std::uint64_t checksum =
+        checksum_bytes(out.data() + section_offset[i], section_bytes[i]);
+    std::memcpy(out.data() + kHeaderBytes + i * kSectionEntryBytes + 24,
+                &checksum, sizeof(checksum));
+  }
+  const std::uint64_t header_checksum = checksum_bytes(out.data(), header_bytes);
+  std::memcpy(out.data() + checksum_at, &header_checksum, sizeof(header_checksum));
   return out;
+}
+
+std::string serialize_store(const Dataset& dataset) {
+  StoreBuilder builder(StoreBuilder::Duplicates::Keep);
+  for (const Sample& sample : dataset.samples()) builder.add(sample);
+  return std::move(builder).finish();
 }
 
 void write_store(const std::string& path, const Dataset& dataset) {

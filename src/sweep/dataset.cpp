@@ -6,7 +6,6 @@
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/errors.hpp"
 #include "util/mmap_file.hpp"
@@ -267,6 +266,60 @@ std::string sample_identity(const Sample& sample) {
          std::to_string(sample.threads) + "/" + sample.config.key();
 }
 
+SampleKey::SampleKey(std::string_view arch, std::string_view app,
+                     std::string_view input, int threads,
+                     const rt::RtConfig& config)
+    : arch(arch),
+      app(app),
+      input(input),
+      threads(threads),
+      num_threads(std::max(config.num_threads, 0)),
+      chunk(std::max(config.chunk, 0)),
+      align_alloc(std::max(config.align_alloc, 0)),
+      blocktime_ms(config.blocktime_ms),
+      places(config.places),
+      bind(config.bind),
+      schedule(config.schedule),
+      library(config.library),
+      reduction(config.reduction),
+      barrier(config.barrier) {}
+
+std::size_t SampleKey::hash() const {
+  const std::hash<std::string_view> text;
+  std::uint64_t h = text(arch);
+  const auto mix = [&h](std::uint64_t value) {
+    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(text(app));
+  mix(text(input));
+  mix(static_cast<std::uint32_t>(threads) |
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(num_threads)) << 32);
+  mix(static_cast<std::uint32_t>(chunk) |
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(align_alloc)) << 32);
+  mix(static_cast<std::uint64_t>(blocktime_ms));
+  mix(static_cast<std::uint64_t>(places) | static_cast<std::uint64_t>(bind) << 8 |
+      static_cast<std::uint64_t>(schedule) << 16 |
+      static_cast<std::uint64_t>(library) << 24 |
+      static_cast<std::uint64_t>(reduction) << 32 |
+      static_cast<std::uint64_t>(barrier) << 40);
+  // splitmix64 finaliser: the table indexes by the low bits.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
+void Deduper::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (!slot.used) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].used) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 void Dataset::append(Dataset other) {
   if (samples_.empty()) {
     samples_ = std::move(other.samples_);
@@ -284,29 +337,28 @@ Dataset Dataset::deduped(DedupeReport* report) const& {
 }
 
 Dataset Dataset::deduped(DedupeReport* report) && {
-  if (report) *report = DedupeReport{};
-  // Compacts in place: a kept sample only ever moves to an earlier slot, so
-  // the first-appearance order survives without a second vector.
-  std::unordered_map<std::string, std::size_t> first_position;  // -> index
-  first_position.reserve(samples_.size());
-  std::size_t kept_count = 0;
-  for (Sample& s : samples_) {
-    const auto [it, inserted] =
-        first_position.try_emplace(sample_identity(s), kept_count);
-    if (inserted) {
-      Sample& slot = samples_[kept_count++];
-      if (&slot != &s) slot = std::move(s);
-      continue;
-    }
-    if (report) ++report->duplicates;
-    Sample& kept = samples_[it->second];
-    if (status_preference(s.status) < status_preference(kept.status)) {
-      kept = std::move(s);
-      if (report) ++report->replaced;
+  // Decide first, move second: the keys view the samples' own names, so no
+  // sample may move until every one has been admitted.
+  Deduper deduper;
+  std::vector<std::size_t> kept;  // kept position -> index of its sample
+  const auto key_at = [&](std::size_t p) { return SampleKey(samples_[kept[p]]); };
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    std::size_t position = kept.size();
+    switch (deduper.admit(SampleKey(samples_[i]), samples_[i].status, position,
+                          key_at)) {
+      case Deduper::Verdict::Added: kept.push_back(i); break;
+      case Deduper::Verdict::Replaces: kept[position] = i; break;
+      case Deduper::Verdict::Dropped: break;
     }
   }
-  samples_.erase(samples_.begin() + static_cast<std::ptrdiff_t>(kept_count),
+  // Compact in place: position p's sample sits at index >= p, and no
+  // earlier position has taken it, so every move reads an untouched slot.
+  for (std::size_t p = 0; p < kept.size(); ++p) {
+    if (kept[p] != p) samples_[p] = std::move(samples_[kept[p]]);
+  }
+  samples_.erase(samples_.begin() + static_cast<std::ptrdiff_t>(kept.size()),
                  samples_.end());
+  if (report) *report = deduper.report();
   return std::move(*this);
 }
 

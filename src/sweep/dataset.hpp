@@ -58,9 +58,106 @@ struct Sample {
 
 /// Measurement identity of a sample: "arch/app/input/threads/<config key>".
 /// Two samples with equal identity are the same measurement collected twice
-/// (overlapping shards, re-recorded journal entries) and must be deduplicated
-/// by status_preference, not by arrival order.
+/// (overlapping shards, re-recorded journal entries). Dedupe compares
+/// SampleKey, not this string: the joined form cannot tell arch "x/y" with
+/// app "z" from arch "x" with app "y/z".
 std::string sample_identity(const Sample& sample);
+
+/// Allocation-free measurement identity, the key every dedupe compares:
+/// the names, the team size and the configuration fields normalised the
+/// way rt::RtConfig::key() normalises them (num_threads, chunk and
+/// align_alloc <= 0 all mean "derived default"). For names without '/',
+/// two keys are equal exactly when the samples' sample_identity() strings
+/// are. The names are views, valid as long as the strings they came from.
+struct SampleKey {
+  std::string_view arch, app, input;
+  int threads = 0;
+  int num_threads = 0;
+  int chunk = 0;
+  int align_alloc = 0;
+  std::int64_t blocktime_ms = 0;
+  arch::PlacesKind places = arch::PlacesKind::Unset;
+  arch::BindKind bind = arch::BindKind::Unset;
+  rt::ScheduleKind schedule = rt::ScheduleKind::Static;
+  rt::LibraryMode library = rt::LibraryMode::Throughput;
+  rt::ReductionMethod reduction = rt::ReductionMethod::Default;
+  rt::BarrierKind barrier = rt::BarrierKind::Auto;
+
+  SampleKey(std::string_view arch, std::string_view app,
+            std::string_view input, int threads, const rt::RtConfig& config);
+  explicit SampleKey(const Sample& sample)
+      : SampleKey(sample.arch, sample.app, sample.input, sample.threads,
+                  sample.config) {}
+
+  bool operator==(const SampleKey&) const = default;
+  std::size_t hash() const;
+};
+
+/// Outcome tally of a dedupe pass.
+struct DedupeReport {
+  std::size_t duplicates = 0;  ///< samples dropped as duplicate identities
+  std::size_t replaced = 0;    ///< kept samples upgraded by a better status
+};
+
+/// The one duplicate-resolution rule, shared by Dataset::deduped,
+/// merge_shards and the store builder: samples arrive in order, the first
+/// occurrence of a SampleKey takes the next position, and a later one
+/// replaces the kept occurrence only when its status_preference is strictly
+/// better (so ties keep the first). Kept samples therefore stay in
+/// first-appearance order. An open-addressing table of positions: the keys
+/// themselves live with the caller, who reads one back through `key_at`.
+class Deduper {
+ public:
+  enum class Verdict {
+    Added,     ///< first occurrence: kept at the offered position
+    Dropped,   ///< duplicate no better than the kept occurrence
+    Replaces,  ///< duplicate with a better status: overwrites the kept one
+  };
+
+  /// Admit a sample with `key` and `status`, offering `position` for a new
+  /// identity. On Dropped and Replaces, `position` is set to the kept
+  /// occurrence's. `key_at(p)` returns the key of the sample kept at p.
+  template <typename KeyAt>
+  Verdict admit(const SampleKey& key, SampleStatus status,
+                std::size_t& position, const KeyAt& key_at) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::size_t hash = key.hash();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (!slot.used) {
+        slot = Slot{hash, position, status, true};
+        ++used_;
+        return Verdict::Added;
+      }
+      if (slot.hash != hash || !(key_at(slot.position) == key)) continue;
+      position = slot.position;
+      ++report_.duplicates;
+      if (status_preference(status) >= status_preference(slot.status)) {
+        return Verdict::Dropped;
+      }
+      slot.status = status;
+      ++report_.replaced;
+      return Verdict::Replaces;
+    }
+  }
+
+  const DedupeReport& report() const { return report_; }
+
+ private:
+  struct Slot {
+    std::size_t hash = 0;
+    std::size_t position = 0;
+    SampleStatus status = SampleStatus::Ok;
+    bool used = false;
+  };
+
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+  DedupeReport report_;
+};
 
 /// Column-stable dataset container.
 class Dataset {
@@ -114,18 +211,14 @@ class Dataset {
   /// Number of quarantined samples.
   std::size_t quarantined_count() const;
 
-  /// Outcome tally of a dedupe pass (see deduped()).
-  struct DedupeReport {
-    std::size_t duplicates = 0;  ///< samples dropped as duplicate identities
-    std::size_t replaced = 0;    ///< kept samples upgraded by a better status
-  };
+  using DedupeReport = sweep::DedupeReport;
 
-  /// Collapse samples sharing a sample_identity into one, keeping the
-  /// best-status occurrence (Ok over Retried over Quarantined; first wins on
-  /// ties) at the position of the identity's first appearance. Used by the
-  /// shard merger and the journal compactor, where overlapping collection
-  /// legitimately produces the same measurement more than once. The rvalue
-  /// form compacts in place and moves the kept samples.
+  /// Collapse samples sharing a SampleKey into one under the Deduper rule:
+  /// the best-status occurrence (Ok over Retried over Quarantined; first
+  /// wins on ties) at the position of the identity's first appearance. Used
+  /// where overlapping collection legitimately produces the same
+  /// measurement more than once (journal entry adoption). The rvalue form
+  /// compacts in place and moves the kept samples.
   Dataset deduped(DedupeReport* report = nullptr) const&;
   Dataset deduped(DedupeReport* report = nullptr) &&;
 

@@ -51,27 +51,23 @@ struct Contribution {
 };
 
 std::size_t dedupe_bucket(std::vector<Contribution>& bucket) {
-  // Collapse repeated (config) identities within one setting's bucket,
-  // keeping the best-status occurrence at the first occurrence's position —
-  // Ok over Retried over Quarantined, never first-wins.
-  std::map<std::string, std::size_t> first_position;
+  // Collapse repeated identities within one setting's bucket under the
+  // Deduper rule: the best-status occurrence at the first occurrence's
+  // position — Ok over Retried over Quarantined, never first-wins.
+  Deduper deduper;
   std::vector<Contribution> kept;
-  std::size_t duplicates = 0;
+  const auto key_at = [&](std::size_t p) { return SampleKey(*kept[p].sample); };
   for (const Contribution& entry : bucket) {
-    const auto [it, inserted] =
-        first_position.emplace(entry.sample->config.key(), kept.size());
-    if (inserted) {
-      kept.push_back(entry);
-      continue;
-    }
-    ++duplicates;
-    if (status_preference(entry.sample->status) <
-        status_preference(kept[it->second].sample->status)) {
-      kept[it->second] = entry;
+    std::size_t position = kept.size();
+    switch (deduper.admit(SampleKey(*entry.sample), entry.sample->status,
+                          position, key_at)) {
+      case Deduper::Verdict::Added: kept.push_back(entry); break;
+      case Deduper::Verdict::Replaces: kept[position] = entry; break;
+      case Deduper::Verdict::Dropped: break;
     }
   }
   bucket = std::move(kept);
-  return duplicates;
+  return deduper.report().duplicates;
 }
 
 std::string shard_label(const MergeOptions& options, std::size_t shard) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <sstream>
 
@@ -11,6 +12,7 @@
 #include "sweep/config_space.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
+#include "util/rng.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -266,6 +268,73 @@ TEST(Dataset, DedupeKeepsFirstAppearanceAndBestStatus) {
   }
   EXPECT_EQ(report.duplicates, 2u);
   EXPECT_EQ(report.replaced, 1u);
+}
+
+TEST(Dataset, DedupeKeepsNamesThatOnlyDifferWhereTheSlashFalls) {
+  // sample_identity() joins with '/', so both rows spell "x/y/z/..."; they
+  // are different measurements and must both survive.
+  Sample left;
+  left.arch = "x/y";
+  left.app = "z";
+  Sample right = left;
+  right.arch = "x";
+  right.app = "y/z";
+  ASSERT_EQ(sample_identity(left), sample_identity(right));
+  EXPECT_FALSE(SampleKey(left) == SampleKey(right));
+
+  Dataset::DedupeReport report;
+  const Dataset deduped =
+      Dataset(std::vector<Sample>{left, right, left}).deduped(&report);
+  ASSERT_EQ(deduped.size(), 2u);
+  EXPECT_EQ(deduped.samples()[0].arch, "x/y");
+  EXPECT_EQ(deduped.samples()[1].arch, "x");
+  EXPECT_EQ(report.duplicates, 1u);
+}
+
+TEST(Dataset, SampleKeyEqualityMatchesIdentityEquality) {
+  // Rows drawn from small value sets so that collisions are common, with
+  // the fields RtConfig::key() normalises (<= 0 num_threads, chunk and
+  // align all mean "default"; Auto barrier is left out of the key).
+  util::Xoshiro256 rng(0x5A3BEEULL);
+  const auto pick = [&rng](auto... values) {
+    const std::array options{values...};
+    return options[rng.uniform_index(options.size())];
+  };
+  Sample base;
+  base.app = "cg";
+  base.input = "S";
+  std::vector<Sample> rows;
+  for (int i = 0; i < 400; ++i) {
+    Sample s = base;
+    s.arch = pick(std::string("milan"), std::string("a64fx"));
+    s.threads = pick(4, -1);
+    s.config.num_threads = pick(-2, 0, 4, 8);
+    s.config.chunk = pick(-1, 0, 1, 16);
+    s.config.align_alloc = pick(-64, 0, 64);
+    s.config.places = pick(arch::PlacesKind::Unset, arch::PlacesKind::Cores);
+    s.config.bind = pick(arch::BindKind::Unset, arch::BindKind::Spread);
+    s.config.schedule = pick(rt::ScheduleKind::Static, rt::ScheduleKind::Guided);
+    s.config.library = pick(rt::LibraryMode::Throughput, rt::LibraryMode::Turnaround);
+    s.config.blocktime_ms =
+        pick(std::int64_t{0}, std::int64_t{200}, rt::kBlocktimeInfinite);
+    s.config.reduction =
+        pick(rt::ReductionMethod::Default, rt::ReductionMethod::Atomic);
+    s.config.barrier = pick(rt::BarrierKind::Auto, rt::BarrierKind::Central);
+    rows.push_back(std::move(s));
+  }
+  std::size_t equal_pairs = 0;
+  for (const Sample& a : rows) {
+    for (const Sample& b : rows) {
+      const bool same_identity = sample_identity(a) == sample_identity(b);
+      ASSERT_EQ(SampleKey(a) == SampleKey(b), same_identity)
+          << sample_identity(a) << " vs " << sample_identity(b);
+      if (same_identity) {
+        EXPECT_EQ(SampleKey(a).hash(), SampleKey(b).hash());
+        equal_pairs += &a != &b;
+      }
+    }
+  }
+  EXPECT_GT(equal_pairs, 0u);  // the fuzz must exercise collisions
 }
 
 TEST(Dataset, FilterAndDistinct) {

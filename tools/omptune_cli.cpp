@@ -885,11 +885,8 @@ int cmd_recommend(int argc, char** argv) {
         arch);
     return 0;
   }
-  const sweep::Dataset dataset = quick_study(200);
-  const store::StoreReader image(dataset);
-  const core::KnowledgeBase kb(
-      dataset, analysis::best_per_pair(analysis::best_per_setting(image, &pool)),
-      1.01, &pool);
+  const store::StoreReader image(quick_study(200));
+  const core::KnowledgeBase kb(image, arch, 1.01, &pool);
   print_recommendation(
       kb, analysis::recommend_for_app(image, app, 0.01, 1.3, &pool), app, arch);
   return 0;
