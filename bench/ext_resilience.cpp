@@ -4,7 +4,8 @@
 // Runs the same fault-free mini-plan three ways and compares wall time:
 //   bare        the seed harness (direct runner calls, no persistence)
 //   resilient   retry/quarantine guard, no journal
-//   journaled   guard + write-ahead journal (one atomic CSV per setting)
+//   journaled   guard + write-ahead journal (one atomic .omps entry per
+//               setting)
 //   supervised  StudySupervisor with --workers=1: a forked worker process,
 //               lease/heartbeat pipe protocol, per-worker journal adopted
 //               by the parent — the full isolation stack on one worker
@@ -14,8 +15,8 @@
 //           resemble actual collection, and this is where the < 10%
 //           acceptance target applies;
 //   model   microsecond-scale analytic samples — a deliberate stress test
-//           where per-setting fsyncs and CSV serialization have nothing to
-//           hide behind (reported for transparency, no target).
+//           where per-setting fsyncs and entry serialization have nothing
+//           to hide behind (reported for transparency, no target).
 //
 // A fourth leg bounds the crash-consistency injection seam (util::IoHooks,
 // DESIGN.md §14). An end-to-end A/B cannot resolve it — the seam costs
@@ -136,7 +137,7 @@ class PassThroughHooks : public util::IoHooks {
   }
 };
 
-/// One round of journal-style durability work: `files` atomic CSV-sized
+/// One round of journal-style durability work: `files` small atomic
 /// replacements plus one durable append per file — the same fs primitives
 /// the write-ahead journal and incident log exercise per setting.
 double time_hook_shim_round(const std::string& dir, int files) {
@@ -144,7 +145,7 @@ double time_hook_shim_round(const std::string& dir, int files) {
   const std::string log_path = dir + "/append.log";
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < files; ++i) {
-    util::atomic_write_file(dir + "/rec_" + std::to_string(i % 16) + ".csv",
+    util::atomic_write_file(dir + "/rec_" + std::to_string(i % 16) + ".omps",
                             payload);
     util::append_line_durable(log_path, "sample line for the shim bench",
                               /*rotate_at_bytes=*/1 << 16);

@@ -1,23 +1,32 @@
 #include "store/compact.hpp"
 
+#include "store/reader.hpp"
 #include "store/writer.hpp"
-#include "sweep/dataset.hpp"
 #include "sweep/journal.hpp"
+#include "util/errors.hpp"
 #include "util/fs.hpp"
 
 namespace omptune::store {
 
 CompactReport compact_journal(const sweep::StudyJournal& journal,
                               const std::string& out_path) {
-  // Entries stream through the builder one at a time: only one entry's
-  // Samples are ever alive, the kept rows live in column form.
+  const std::vector<std::string> legacy = journal.legacy_entry_files();
+  if (!legacy.empty()) {
+    throw util::DataCorruptionError(
+        util::path_join(journal.directory(), legacy.front()) +
+        ": legacy CSV journal entry (written before journal entries were "
+        ".omps stores); rerun the study with --resume to recollect its "
+        "setting");
+  }
+  // Entries stream through the builder one at a time, straight from their
+  // columns: no Sample is materialized, the kept rows live in column form.
   CompactReport report;
   StoreBuilder builder(StoreBuilder::Duplicates::Resolve);
   for (const std::string& name : journal.entry_files()) {
-    const sweep::Dataset entry =
-        sweep::Dataset::load_csv_file(util::path_join(journal.directory(), name));
+    const StoreReader entry = sweep::StudyJournal::open_entry(
+        util::path_join(journal.directory(), name));
     report.samples_in += entry.size();
-    for (const sweep::Sample& sample : entry.samples()) builder.add(sample);
+    builder.add(entry);
     ++report.entries;
   }
   report.duplicates_dropped = builder.dedupe().duplicates;
@@ -29,13 +38,3 @@ CompactReport compact_journal(const sweep::StudyJournal& journal,
 }
 
 }  // namespace omptune::store
-
-namespace omptune::sweep {
-
-// Declared in sweep/journal.hpp, implemented here so the base sweep library
-// carries no dependency on the store format.
-store::CompactReport StudyJournal::compact(const std::string& out_path) const {
-  return store::compact_journal(*this, out_path);
-}
-
-}  // namespace omptune::sweep

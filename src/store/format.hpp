@@ -3,9 +3,9 @@
 // On-disk layout of the .omps binary columnar sample store (version 1).
 //
 // Why a binary store: the study's knowledge base is a >240k-sample tabular
-// dataset, and the journal multiplies it into hundreds of per-setting CSV
-// files. Re-parsing text on every `analyze`/`recommend` dominates their
-// runtime; a recommendation for one (app, arch) pair does not need the
+// dataset, collected one setting at a time (the journal keeps each setting
+// as its own small store). Re-parsing text on every `analyze`/`recommend`
+// would dominate their runtime; a recommendation for one (app, arch) pair does not need the
 // other ~99% of the rows at all. The store keeps each variable in its own
 // typed contiguous block with an embedded setting index, so an mmap-backed
 // reader materializes exactly the rows a query touches.

@@ -386,6 +386,61 @@ std::uint16_t StoreReader::dict_code(const Section& section,
   return code;
 }
 
+double StoreReader::stat_at(std::size_t column, std::size_t row,
+                            const char* what) const {
+  const Section& section =
+      sections_[static_cast<std::size_t>(SectionKind::StatColumns) - 1];
+  const std::size_t offset = column + 8 * row;
+  const double value = load_scalar<double>(at(section, offset));
+  if (!std::isfinite(value)) {
+    corrupt(section.offset + offset,
+            std::string(what) + " in row " + std::to_string(row) +
+                " is not finite");
+  }
+  return value;
+}
+
+std::uint16_t StoreReader::runtime_count_at(std::size_t row) const {
+  const Section& section =
+      sections_[static_cast<std::size_t>(SectionKind::ConfigColumns) - 1];
+  const std::size_t offset =
+      config_columns_layout(sample_count_).runtime_count + 2 * row;
+  const auto count = load_scalar<std::uint16_t>(at(section, offset));
+  if (count > reps_) {
+    corrupt(section.offset + offset,
+            "row " + std::to_string(row) + " declares " +
+                std::to_string(count) + " runtimes, store holds " +
+                std::to_string(reps_) + " slots per row");
+  }
+  return count;
+}
+
+double StoreReader::runtime_at(std::size_t row, std::size_t r) const {
+  const Section& section =
+      sections_[static_cast<std::size_t>(SectionKind::Runtimes) - 1];
+  const std::size_t offset = 8 * (row * reps_ + r);
+  const double value = load_scalar<double>(at(section, offset));
+  if (!std::isfinite(value)) {
+    corrupt(section.offset + offset, "runtime " + std::to_string(r) +
+                                         " in row " + std::to_string(row) +
+                                         " is not finite");
+  }
+  return value;
+}
+
+std::uint32_t StoreReader::error_code_at(std::size_t row) const {
+  const Section& section =
+      sections_[static_cast<std::size_t>(SectionKind::Errors) - 1];
+  const auto code = load_scalar<std::uint32_t>(at(section, 4 * row));
+  if (code >= dicts_[5].size()) {
+    corrupt(section.offset + 4 * row,
+            "error code " + std::to_string(code) + " in row " +
+                std::to_string(row) + " is outside the " +
+                std::to_string(dicts_[5].size()) + "-entry dictionary");
+  }
+  return code;
+}
+
 std::size_t StoreReader::materialize_row(std::size_t row,
                                         sweep::Sample& s) const {
   const std::size_t n = sample_count_;
@@ -393,12 +448,6 @@ std::size_t StoreReader::materialize_row(std::size_t row,
       sections_[static_cast<std::size_t>(SectionKind::KeyColumns) - 1];
   const Section& config_section =
       sections_[static_cast<std::size_t>(SectionKind::ConfigColumns) - 1];
-  const Section& stat_section =
-      sections_[static_cast<std::size_t>(SectionKind::StatColumns) - 1];
-  const Section& runtime_section =
-      sections_[static_cast<std::size_t>(SectionKind::Runtimes) - 1];
-  const Section& error_section =
-      sections_[static_cast<std::size_t>(SectionKind::Errors) - 1];
   const KeyColumnsLayout keys = key_columns_layout(n);
   const ConfigColumnsLayout cfg = config_columns_layout(n);
   const StatColumnsLayout stats = stat_columns_layout(n);
@@ -447,49 +496,17 @@ std::size_t StoreReader::materialize_row(std::size_t row,
       enum_byte(cfg.status, kSampleStatuses, "status"));
   s.is_default = enum_byte(cfg.is_default, 2, "is_default") != 0;
 
-  const auto stat = [&](std::size_t column, const char* what) {
-    const std::size_t offset = column + 8 * row;
-    const double value = load_scalar<double>(at(stat_section, offset));
-    if (!std::isfinite(value)) {
-      corrupt(stat_section.offset + offset, std::string(what) + " in row " +
-                                                std::to_string(row) +
-                                                " is not finite");
-    }
-    return value;
-  };
-  s.mean_runtime = stat(stats.mean, "mean_runtime");
-  s.default_runtime = stat(stats.deflt, "default_runtime");
-  s.speedup = stat(stats.speedup, "speedup");
+  s.mean_runtime = stat_at(stats.mean, row, "mean_runtime");
+  s.default_runtime = stat_at(stats.deflt, row, "default_runtime");
+  s.speedup = stat_at(stats.speedup, row, "speedup");
 
-  const auto runtime_count = load_scalar<std::uint16_t>(
-      at(config_section, cfg.runtime_count + 2 * row));
-  if (runtime_count > reps_) {
-    corrupt(config_section.offset + cfg.runtime_count + 2 * row,
-            "row " + std::to_string(row) + " declares " +
-                std::to_string(runtime_count) + " runtimes, store holds " +
-                std::to_string(reps_) + " slots per row");
-  }
+  const std::uint16_t runtime_count = runtime_count_at(row);
   s.runtimes.resize(runtime_count);
   for (std::uint16_t r = 0; r < runtime_count; ++r) {
-    const std::size_t offset = 8 * (row * reps_ + r);
-    const double value = load_scalar<double>(at(runtime_section, offset));
-    if (!std::isfinite(value)) {
-      corrupt(runtime_section.offset + offset,
-              "runtime " + std::to_string(r) + " in row " + std::to_string(row) +
-                  " is not finite");
-    }
-    s.runtimes[r] = value;
+    s.runtimes[r] = runtime_at(row, r);
   }
 
-  const std::size_t error_offset = 4 * row;
-  const auto error_code = load_scalar<std::uint32_t>(at(error_section, error_offset));
-  if (error_code >= dicts_[5].size()) {
-    corrupt(error_section.offset + error_offset,
-            "error code " + std::to_string(error_code) + " in row " +
-                std::to_string(row) + " is outside the " +
-                std::to_string(dicts_[5].size()) + "-entry dictionary");
-  }
-  s.error = dicts_[5][error_code];
+  s.error = dicts_[5][error_code_at(row)];
   return 8u * runtime_count;
 }
 
@@ -521,21 +538,6 @@ sweep::Dataset StoreReader::load(const util::ThreadPool* pool) const {
                            runtime_bytes, std::memory_order_relaxed);
                      });
   return sweep::Dataset(std::move(samples));
-}
-
-void StoreReader::for_each_sample(
-    const std::function<void(const sweep::Sample&)>& visit) const {
-  verify_checksums({SectionKind::Dictionaries, SectionKind::KeyColumns,
-                    SectionKind::ConfigColumns, SectionKind::StatColumns,
-                    SectionKind::Runtimes, SectionKind::Errors,
-                    SectionKind::Index});
-  sweep::Sample sample;
-  std::uint64_t runtime_bytes = 0;
-  for (std::size_t row = 0; row < sample_count_; ++row) {
-    runtime_bytes += materialize_row(row, sample);
-    visit(sample);
-  }
-  runtime_bytes_touched_.fetch_add(runtime_bytes, std::memory_order_relaxed);
 }
 
 void StoreReader::ensure_scan_validated() const {
@@ -574,15 +576,18 @@ void StoreReader::ensure_scan_validated() const {
         }
       }
     }
+    // The same holds for every per-value check load() makes; run them all,
+    // so a store that passes holds nothing load() would reject.
+    const StatColumnsLayout stats = stat_columns_layout(sample_count_);
     for (std::size_t row = 0; row < sample_count_; ++row) {
-      const auto count = load_scalar<std::uint16_t>(
-          at(config_section, cfg.runtime_count + 2 * row));
-      if (count > reps_) {
-        corrupt(config_section.offset + cfg.runtime_count + 2 * row,
-                "row " + std::to_string(row) + " declares " +
-                    std::to_string(count) + " runtimes, store holds " +
-                    std::to_string(reps_) + " slots per row");
-      }
+      const std::uint16_t count = runtime_count_at(row);
+      for (std::size_t r = 0; r < count; ++r) runtime_at(row, r);
+      stat_at(stats.mean, row, "mean_runtime");
+      stat_at(stats.deflt, row, "default_runtime");
+      stat_at(stats.speedup, row, "speedup");
+      dict_code(config_section, cfg.suite, row, 3, "suite");
+      dict_code(config_section, cfg.kind, row, 4, "kind");
+      error_code_at(row);
     }
     // The checksum pass read the whole runtime section; count it once.
     runtime_bytes_touched_.fetch_add(
@@ -686,13 +691,3 @@ sweep::Dataset StoreReader::query(const StoreQuery& query) const {
 }
 
 }  // namespace omptune::store
-
-namespace omptune::sweep {
-
-// Declared in sweep/dataset.hpp, implemented here so the base sweep library
-// carries no dependency on the store format.
-Dataset Dataset::load_store(const std::string& path) {
-  return store::StoreReader(path).load();
-}
-
-}  // namespace omptune::sweep

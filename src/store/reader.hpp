@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <optional>
@@ -143,6 +142,12 @@ class StoreReader {
   /// (non-finite values, dictionary overflow).
   explicit StoreReader(const sweep::Dataset& dataset);
 
+  /// Reads the bytes `file` holds, mapped, buffered or adopted from memory:
+  /// every check a path open runs, with errors naming file.path(). For
+  /// callers that open the file themselves (the journal reads its entries
+  /// buffered) or hold an image in memory.
+  explicit StoreReader(util::MappedFile file) : StoreReader(std::move(file), 0) {}
+
   const std::string& path() const { return file_.path(); }
 
   /// Serving-generation label this reader was opened under (0: unlabeled).
@@ -160,6 +165,9 @@ class StoreReader {
   const std::vector<std::string>& archs() const { return dicts_[0]; }
   const std::vector<std::string>& apps() const { return dicts_[1]; }
   const std::vector<std::string>& inputs() const { return dicts_[2]; }
+  const std::vector<std::string>& suites() const { return dicts_[3]; }
+  const std::vector<std::string>& kinds() const { return dicts_[4]; }
+  const std::vector<std::string>& errors() const { return dicts_[5]; }
 
   /// The embedded setting index, in row order.
   std::vector<SettingEntry> settings() const;
@@ -169,11 +177,6 @@ class StoreReader {
   /// With a pool, rows materialize in parallel (the result is identical —
   /// each row is independent and lands at its own position).
   sweep::Dataset load(const util::ThreadPool* pool = nullptr) const;
-
-  /// Every check load() runs, but rows materialize one at a time into one
-  /// reused Sample that `visit` sees, in row order: a streaming consumer
-  /// (tiered compaction's validation passes) never holds more than a row.
-  void for_each_sample(const std::function<void(const sweep::Sample&)>& visit) const;
 
   /// Materialize only the rows matching `query`, located via the index.
   /// Skips whole-section checksums by design (the point is not reading the
@@ -193,7 +196,10 @@ class StoreReader {
 
   /// Verify the bulk-section checksums once (idempotent, thread-safe);
   /// throws util::DataCorruptionError on a mismatch. The metadata sections
-  /// were verified at open; this covers config, stats, runtimes and errors.
+  /// were verified at open; this covers config, stats, runtimes and errors,
+  /// and then every value a slice exposes gets the range and finiteness
+  /// check load() gives it — so a store that passes holds nothing load()
+  /// would reject.
   void ensure_scan_validated() const;
 
   /// Bytes of the runtime block materialized so far by load()/query() on
@@ -226,6 +232,15 @@ class StoreReader {
   /// Fill `s` (default-constructed) from row `row`; returns the runtime
   /// bytes read, for runtime_bytes_touched().
   std::size_t materialize_row(std::size_t row, sweep::Sample& s) const;
+  /// Checked reads of row `row`, shared by materialize_row and the scan
+  /// validation; each throws util::DataCorruptionError at the value's
+  /// offset: a non-finite stat (`column` of the stat section, named
+  /// `what`) or runtime, a runtime count above reps, an error code outside
+  /// its dictionary.
+  double stat_at(std::size_t column, std::size_t row, const char* what) const;
+  std::uint16_t runtime_count_at(std::size_t row) const;
+  double runtime_at(std::size_t row, std::size_t r) const;
+  std::uint32_t error_code_at(std::size_t row) const;
   std::uint16_t dict_code(const Section& key_section, std::size_t column_offset,
                           std::size_t row, std::size_t dict, const char* what) const;
 

@@ -9,7 +9,6 @@
 
 #include "store/reader.hpp"
 #include "store/writer.hpp"
-#include "sweep/dataset.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
@@ -92,7 +91,7 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
         // A content-named intermediate from a previous (crashed) run: adopt
         // it iff it still validates end to end.
         try {
-          StoreReader(inter_path).for_each_sample([](const sweep::Sample&) {});
+          StoreReader(inter_path).ensure_scan_validated();
           ++report.reused_intermediates;
           if (options.progress) {
             options.progress("tiered: reusing intermediate " + inter_path);
@@ -103,14 +102,14 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
           util::remove_file(inter_path);  // torn scratch file; rebuild
         }
       }
-      // Members stream through one builder: only one member's Samples are
-      // alive at a time.
+      // Members stream through one builder, row by row from their columns:
+      // no Sample is materialized.
       StoreBuilder builder(StoreBuilder::Duplicates::Resolve);
       for (const std::string& member : group) {
         try {
-          const sweep::Dataset loaded = sweep::Dataset::load_store(member);
-          if (level == 0) report.samples_in += loaded.size();
-          for (const sweep::Sample& sample : loaded.samples()) builder.add(sample);
+          const StoreReader store(member);
+          builder.add(store);  // validates the whole store before a row
+          if (level == 0) report.samples_in += store.size();
         } catch (const util::DataCorruptionError& err) {
           // Only original inputs may be forgiven; a bad intermediate at a
           // deeper level is our own scratch corrupted underneath us.
@@ -151,10 +150,17 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
   // Validate the final store before publishing it over the previous output,
   // and pull the output tallies from what will actually be published.
   const std::string& final_path = current.front();
-  StoreReader(final_path).for_each_sample([&report](const sweep::Sample& sample) {
-    ++report.samples_out;
-    if (sample.is_quarantined()) ++report.quarantined;
-  });
+  {
+    const StoreReader published(final_path);
+    published.ensure_scan_validated();
+    report.samples_out = published.size();
+    for (std::size_t s = 0; s < published.setting_count(); ++s) {
+      const SettingSlice slice = published.setting_slice(s);
+      for (std::size_t i = 0; i < slice.rows; ++i) {
+        if (slice.quarantined(i)) ++report.quarantined;
+      }
+    }
+  }
   // Atomic publish: rename + parent-dir fsync. A crash before this line
   // leaves the previous out_path intact; after it, the new store is durable.
   util::rename_file(final_path, out_path);

@@ -7,9 +7,9 @@
 // Why tiers instead of loading everything at once: a coordinator-scale
 // corpus arrives as hundreds of shard stores, and a single flat merge would
 // hold every sample in memory simultaneously. Each group's members stream
-// one at a time through a store::StoreBuilder, so a merge holds one
-// member's Samples plus the group's rows in column form, and validation
-// passes read one row at a time. The result is PROVABLY identical to the
+// one at a time through a store::StoreBuilder, row by row from their
+// columns, so a merge holds the group's rows in column form and no Sample
+// at all. The result is PROVABLY identical to the
 // flat merge: the dedupe rule keeps the
 // best-status occurrence at the identity's first-appearance position, which
 // is associative under consecutive grouping — so tier structure (which

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "store/format.hpp"
+#include "store/reader.hpp"
 #include "util/fs.hpp"
 
 namespace omptune::store {
@@ -89,64 +90,121 @@ sweep::SampleKey StoreBuilder::key_at(std::size_t row) const {
 }
 
 void StoreBuilder::add(const Sample& sample) {
-  std::size_t row = rows();
+  Row row;
+  const std::string* names[6] = {&sample.arch,  &sample.app,  &sample.input,
+                                 &sample.suite, &sample.kind, &sample.error};
+  for (std::size_t d = 0; d < 6; ++d) row.codes[d] = names_[d].code(*names[d]);
+  row.threads = sample.threads;
+  row.config = sample.config;
+  row.runtimes = sample.runtimes.data();
+  row.runtime_count = sample.runtimes.size();
+  row.mean = sample.mean_runtime;
+  row.deflt = sample.default_runtime;
+  row.speedup = sample.speedup;
+  row.attempts = sample.attempts;
+  row.status = sample.status;
+  row.is_default = sample.is_default;
+  add(row);
+}
+
+void StoreBuilder::add(const StoreReader& store) {
+  store.ensure_scan_validated();
+  // The row-coded dictionaries are interned once per store, the key names
+  // once per setting run: a row costs no string hashing.
+  const std::vector<std::string>* coded[3] = {&store.suites(), &store.kinds(),
+                                              &store.errors()};
+  std::vector<std::uint32_t> remap[3];
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (const std::string& value : *coded[d]) {
+      remap[d].push_back(names_[3 + d].code(value));
+    }
+  }
+  Row row;
+  for (std::size_t s = 0; s < store.setting_count(); ++s) {
+    const SettingSlice slice = store.setting_slice(s);
+    row.codes[0] = names_[0].code(*slice.arch);
+    row.codes[1] = names_[1].code(*slice.app);
+    row.codes[2] = names_[2].code(*slice.input);
+    row.threads = slice.threads;
+    for (std::size_t i = 0; i < slice.rows; ++i) {
+      row.codes[3] = remap[0][slice.suite[i]];
+      row.codes[4] = remap[1][slice.kind[i]];
+      row.codes[5] = remap[2][slice.error[i]];
+      row.config = slice.config(i);
+      row.runtimes = slice.runtimes + i * slice.reps;
+      row.runtime_count = slice.runtime_count[i];
+      row.mean = slice.mean_runtime[i];
+      row.deflt = slice.default_runtime[i];
+      row.speedup = slice.speedup[i];
+      row.attempts = slice.attempts[i];
+      row.status = static_cast<sweep::SampleStatus>(slice.status[i]);
+      row.is_default = slice.is_default[i] != 0;
+      add(row);
+    }
+  }
+}
+
+void StoreBuilder::add(const Row& row) {
+  std::size_t at = rows();
   if (duplicates_ == Duplicates::Resolve &&
-      deduper_.admit(sweep::SampleKey(sample), sample.status, row,
+      deduper_.admit(sweep::SampleKey(names_[0].values[row.codes[0]],
+                                      names_[1].values[row.codes[1]],
+                                      names_[2].values[row.codes[2]],
+                                      row.threads, row.config),
+                     row.status, at,
                      [this](std::size_t r) { return key_at(r); }) ==
           sweep::Deduper::Verdict::Dropped) {
     return;
   }
-  store_row(row, sample);
+  store_row(at, row);
 }
 
-void StoreBuilder::store_row(std::size_t row, const Sample& s) {
-  const bool append = row == rows();
+void StoreBuilder::store_row(std::size_t at, const Row& row) {
+  const bool append = at == rows();
   const auto put = [&](auto& column, auto value) {
     using T = typename std::decay_t<decltype(column)>::value_type;
     if (append) {
       column.push_back(static_cast<T>(value));
     } else {
-      column[row] = static_cast<T>(value);
+      column[at] = static_cast<T>(value);
     }
   };
-  if (!append && status_[row] == static_cast<std::uint8_t>(sweep::SampleStatus::Quarantined)) {
-    --quarantined_;
-  }
-  if (s.is_quarantined()) ++quarantined_;
+  constexpr auto kQuarantined =
+      static_cast<std::uint8_t>(sweep::SampleStatus::Quarantined);
+  if (!append && status_[at] == kQuarantined) --quarantined_;
+  if (row.status == sweep::SampleStatus::Quarantined) ++quarantined_;
 
-  const std::string* names[6] = {&s.arch, &s.app, &s.input,
-                                 &s.suite, &s.kind, &s.error};
-  for (std::size_t d = 0; d < 6; ++d) put(codes_[d], names_[d].code(*names[d]));
-  put(threads_, s.threads);
-  put(blocktime_, s.config.blocktime_ms);
-  put(num_threads_, s.config.num_threads);
-  put(chunk_, s.config.chunk);
-  put(align_, s.config.align_alloc);
-  put(attempts_, s.attempts);
-  put(places_, s.config.places);
-  put(bind_, s.config.bind);
-  put(schedule_, s.config.schedule);
-  put(library_, s.config.library);
-  put(reduction_, s.config.reduction);
-  put(status_, s.status);
-  put(is_default_, s.is_default ? 1 : 0);
-  put(barrier_, s.config.barrier);
-  put(mean_, s.mean_runtime);
-  put(default_, s.default_runtime);
-  put(speedup_, s.speedup);
+  for (std::size_t d = 0; d < 6; ++d) put(codes_[d], row.codes[d]);
+  put(threads_, row.threads);
+  put(blocktime_, row.config.blocktime_ms);
+  put(num_threads_, row.config.num_threads);
+  put(chunk_, row.config.chunk);
+  put(align_, row.config.align_alloc);
+  put(attempts_, row.attempts);
+  put(places_, row.config.places);
+  put(bind_, row.config.bind);
+  put(schedule_, row.config.schedule);
+  put(library_, row.config.library);
+  put(reduction_, row.config.reduction);
+  put(status_, row.status);
+  put(is_default_, row.is_default ? 1 : 0);
+  put(barrier_, row.config.barrier);
+  put(mean_, row.mean);
+  put(default_, row.deflt);
+  put(speedup_, row.speedup);
 
   // A replacement reuses its row's runtime slots when they are enough.
-  std::size_t at = runtime_pool_.size();
-  if (append || s.runtimes.size() > runtime_count_[row]) {
-    runtime_pool_.insert(runtime_pool_.end(), s.runtimes.begin(),
-                         s.runtimes.end());
+  std::size_t runtime_at = runtime_pool_.size();
+  if (append || row.runtime_count > runtime_count_[at]) {
+    runtime_pool_.insert(runtime_pool_.end(), row.runtimes,
+                         row.runtimes + row.runtime_count);
   } else {
-    at = runtime_at_[row];
-    std::copy(s.runtimes.begin(), s.runtimes.end(),
-              runtime_pool_.begin() + static_cast<std::ptrdiff_t>(at));
+    runtime_at = runtime_at_[at];
+    std::copy(row.runtimes, row.runtimes + row.runtime_count,
+              runtime_pool_.begin() + static_cast<std::ptrdiff_t>(runtime_at));
   }
-  put(runtime_at_, at);
-  put(runtime_count_, s.runtimes.size());
+  put(runtime_at_, runtime_at);
+  put(runtime_count_, row.runtime_count);
 }
 
 std::string StoreBuilder::finish() && {
@@ -338,13 +396,3 @@ void write_store(const std::string& path, const Dataset& dataset) {
 }
 
 }  // namespace omptune::store
-
-namespace omptune::sweep {
-
-// Declared in sweep/dataset.hpp, implemented here so the base sweep library
-// carries no dependency on the store format.
-void Dataset::save_store(const std::string& path) const {
-  store::write_store(path, *this);
-}
-
-}  // namespace omptune::sweep

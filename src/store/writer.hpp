@@ -20,9 +20,12 @@
 
 namespace omptune::store {
 
+class StoreReader;
+
 /// Builds one .omps image row by row. Holds the rows in column form (no
-/// Sample), so a compaction feeding it one journal entry or member store at
-/// a time never holds more than that entry's Samples.
+/// Sample), and takes rows either as Samples or straight from another
+/// store's columns, so a compaction of journal entries or member stores
+/// never materializes a Sample at all.
 class StoreBuilder {
  public:
   /// What add() does with a row whose sweep::SampleKey is already present.
@@ -37,6 +40,11 @@ class StoreBuilder {
   /// Append `sample`, or under Resolve fold it into the kept row of its
   /// identity. A replaced row is overwritten whole and leaves no trace.
   void add(const sweep::Sample& sample);
+
+  /// add() every row of `store`, in row order, read from its columns. Runs
+  /// store.ensure_scan_validated() first, so a store that fails any check
+  /// throws util::DataCorruptionError before a row is added.
+  void add(const StoreReader& store);
 
   /// Rows kept so far.
   std::size_t rows() const { return status_.size(); }
@@ -62,9 +70,23 @@ class StoreBuilder {
     std::uint32_t code(const std::string& value);
   };
 
+  /// One incoming row, its names already interned (codes index names_).
+  struct Row {
+    std::uint32_t codes[6];  ///< arch, app, input, suite, kind, error
+    std::int32_t threads = 0;
+    rt::RtConfig config;
+    const double* runtimes = nullptr;
+    std::size_t runtime_count = 0;
+    double mean = 0.0, deflt = 0.0, speedup = 0.0;
+    std::int32_t attempts = 0;
+    sweep::SampleStatus status = sweep::SampleStatus::Ok;
+    bool is_default = false;
+  };
+
   sweep::SampleKey key_at(std::size_t row) const;
-  /// Write `sample` into row `row` (== rows() appends).
-  void store_row(std::size_t row, const sweep::Sample& sample);
+  void add(const Row& row);
+  /// Write `row` into row `at` (== rows() appends).
+  void store_row(std::size_t at, const Row& row);
 
   Duplicates duplicates_;
   sweep::Deduper deduper_;

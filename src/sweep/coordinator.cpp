@@ -12,6 +12,7 @@
 
 #include "arch/cpu_arch.hpp"
 #include "store/compact.hpp"
+#include "store/reader.hpp"
 #include "sweep/fleet.hpp"
 #include "sweep/journal.hpp"
 #include "util/errors.hpp"
@@ -227,7 +228,8 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   /// otherwise a human-readable reason.
   const auto validate_shard = [&](std::size_t i) -> std::optional<std::string> {
     try {
-      const Dataset delivered = Dataset::load_store(shard_store_path(i));
+      const store::StoreReader delivered(shard_store_path(i));
+      delivered.ensure_scan_validated();
       if (delivered.size() != expected[i]) {
         return "store has " + std::to_string(delivered.size()) +
                " samples, shard plan expects " + std::to_string(expected[i]);

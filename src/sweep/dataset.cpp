@@ -7,6 +7,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "util/errors.hpp"
 #include "util/mmap_file.hpp"
 #include "util/strings.hpp"
@@ -31,6 +33,11 @@ constexpr std::array<std::string_view, kColumnCount> kColumns = {
 
 constexpr std::string_view kRuntimePrefix = "runtime_";
 
+/// Decimals the CSV prints, and so the precision of the published form:
+/// runtimes (mean and default included) and speedups.
+constexpr int kRuntimeDecimals = 9;
+constexpr int kSpeedupDecimals = 6;
+
 std::string runtime_column(std::size_t r) {
   return std::string(kRuntimePrefix) + std::to_string(r);
 }
@@ -54,7 +61,7 @@ void encode_header(std::size_t reps, Field&& field) {
 /// into a stack buffer, so a cell never costs an allocation.
 template <typename Field>
 void encode_row(const Sample& s, std::size_t reps, Field&& field) {
-  char buf[util::fixed_double_chars(9)];
+  char buf[util::fixed_double_chars(kRuntimeDecimals)];
   const auto integer = [&](std::int64_t value) {
     const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
     field(std::string_view(buf, static_cast<std::size_t>(end - buf)));
@@ -80,16 +87,16 @@ void encode_row(const Sample& s, std::size_t reps, Field&& field) {
   }
   field(rt::to_string(s.config.reduction));
   integer(s.config.align_alloc);
-  fixed(s.mean_runtime, 9);
-  fixed(s.default_runtime, 9);
-  fixed(s.speedup, 6);
+  fixed(s.mean_runtime, kRuntimeDecimals);
+  fixed(s.default_runtime, kRuntimeDecimals);
+  fixed(s.speedup, kSpeedupDecimals);
   field(s.is_default ? "1" : "0");
   field(to_string(s.status));
   integer(s.attempts);
   field(s.error);
   for (std::size_t r = 0; r < reps; ++r) {
     if (r < s.runtimes.size()) {
-      fixed(s.runtimes[r], 9);
+      fixed(s.runtimes[r], kRuntimeDecimals);
     } else {
       field("0");
     }
@@ -332,40 +339,28 @@ void Dataset::append(Dataset other) {
                   std::make_move_iterator(other.samples_.end()));
 }
 
-Dataset Dataset::deduped(DedupeReport* report) const& {
-  return Dataset(*this).deduped(report);
-}
-
-Dataset Dataset::deduped(DedupeReport* report) && {
-  // Decide first, move second: the keys view the samples' own names, so no
-  // sample may move until every one has been admitted.
-  Deduper deduper;
-  std::vector<std::size_t> kept;  // kept position -> index of its sample
-  const auto key_at = [&](std::size_t p) { return SampleKey(samples_[kept[p]]); };
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    std::size_t position = kept.size();
-    switch (deduper.admit(SampleKey(samples_[i]), samples_[i].status, position,
-                          key_at)) {
-      case Deduper::Verdict::Added: kept.push_back(i); break;
-      case Deduper::Verdict::Replaces: kept[position] = i; break;
-      case Deduper::Verdict::Dropped: break;
-    }
-  }
-  // Compact in place: position p's sample sits at index >= p, and no
-  // earlier position has taken it, so every move reads an untouched slot.
-  for (std::size_t p = 0; p < kept.size(); ++p) {
-    if (kept[p] != p) samples_[p] = std::move(samples_[kept[p]]);
-  }
-  samples_.erase(samples_.begin() + static_cast<std::ptrdiff_t>(kept.size()),
-                 samples_.end());
-  if (report) *report = deduper.report();
-  return std::move(*this);
-}
-
 std::size_t Dataset::quarantined_count() const {
   return static_cast<std::size_t>(
       std::count_if(samples_.begin(), samples_.end(),
                     [](const Sample& s) { return s.is_quarantined(); }));
+}
+
+void Dataset::publish() {
+  const std::size_t reps = repetition_count(samples_);
+  const rt::RtConfig defaults;
+  const auto runtime = [](double value) {
+    return util::round_fixed_double(value, kRuntimeDecimals);
+  };
+  for (Sample& s : samples_) {
+    s.config.num_threads = s.threads;
+    s.config.chunk = defaults.chunk;
+    s.config.barrier = defaults.barrier;
+    s.mean_runtime = runtime(s.mean_runtime);
+    s.default_runtime = runtime(s.default_runtime);
+    s.speedup = util::round_fixed_double(s.speedup, kSpeedupDecimals);
+    for (double& r : s.runtimes) r = runtime(r);
+    s.runtimes.resize(reps, 0.0);
+  }
 }
 
 std::string Dataset::csv_text() const {
@@ -468,6 +463,14 @@ Dataset Dataset::load_csv_file(const std::string& path) {
   } catch (const std::exception& error) {
     throw util::DataCorruptionError(path + ": " + error.what());
   }
+}
+
+void Dataset::save_store(const std::string& path) const {
+  store::write_store(path, *this);
+}
+
+Dataset Dataset::load_store(const std::string& path) {
+  return store::StoreReader(path).load();
 }
 
 }  // namespace omptune::sweep

@@ -99,11 +99,11 @@ struct DedupeReport {
   std::size_t replaced = 0;    ///< kept samples upgraded by a better status
 };
 
-/// The one duplicate-resolution rule, shared by Dataset::deduped,
-/// merge_shards and the store builder: samples arrive in order, the first
-/// occurrence of a SampleKey takes the next position, and a later one
-/// replaces the kept occurrence only when its status_preference is strictly
-/// better (so ties keep the first). Kept samples therefore stay in
+/// The one duplicate-resolution rule, shared by merge_shards and the store
+/// builder: samples arrive in order, the first occurrence of a SampleKey
+/// takes the next position, and a later one replaces the kept occurrence
+/// only when its status_preference is strictly better (so ties keep the
+/// first). Kept samples therefore stay in
 /// first-appearance order. An open-addressing table of positions: the keys
 /// themselves live with the caller, who reads one back through `key_at`.
 class Deduper {
@@ -211,16 +211,15 @@ class Dataset {
   /// Number of quarantined samples.
   std::size_t quarantined_count() const;
 
-  using DedupeReport = sweep::DedupeReport;
-
-  /// Collapse samples sharing a SampleKey into one under the Deduper rule:
-  /// the best-status occurrence (Ok over Retried over Quarantined; first
-  /// wins on ties) at the position of the identity's first appearance. Used
-  /// where overlapping collection legitimately produces the same
-  /// measurement more than once (journal entry adoption). The rvalue form
-  /// compacts in place and moves the kept samples.
-  Dataset deduped(DedupeReport* report = nullptr) const&;
-  Dataset deduped(DedupeReport* report = nullptr) &&;
+  /// Put every sample into its published form: exactly the values its CSV
+  /// text (csv_text) reads back as. Runtimes, mean_runtime and
+  /// default_runtime are rounded to the encoder's 9 decimals and speedup
+  /// to its 6 (util::round_fixed_double); runtime lists are zero-padded to
+  /// the longest, as the CSV pads them; config.num_threads becomes
+  /// `threads`, and chunk and barrier, which the schema does not carry,
+  /// return to their defaults. Journal entries hold this form, so every
+  /// journaled collection publishes the same values.
+  void publish();
 
   /// Serialize to the open-data CSV schema (one row per sample, one column
   /// per variable plus all repetition runtimes; rows with fewer runtimes
@@ -249,14 +248,12 @@ class Dataset {
 
   /// Serialize to the binary columnar store format (.omps): dictionary-coded
   /// string columns, packed config fields, contiguous runtime blocks and an
-  /// embedded (arch, app, input, threads) index. Implemented by the store
-  /// subsystem — link omptune_store to use. Atomic replace, like the
-  /// journal's CSV writes.
+  /// embedded (arch, app, input, threads) index. Atomic replace, like the
+  /// journal's entry writes.
   void save_store(const std::string& path) const;
 
   /// Load a .omps store file (full materialization, every section checksum
-  /// verified). Implemented by the store subsystem — link omptune_store.
-  /// Throws util::DataCorruptionError naming file and offset on any
+  /// verified). Throws util::DataCorruptionError naming file and offset on any
   /// corruption. For indexed partial reads, use store::StoreReader directly.
   static Dataset load_store(const std::string& path);
 

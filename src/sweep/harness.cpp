@@ -287,6 +287,10 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
       const std::size_t config_count = arch_plan.configs_per_setting[i];
       const std::string key = setting_key(cpu.name, setting);
 
+      if (journal && journal->discard_legacy(key) && options.progress) {
+        options.progress(key + " legacy CSV journal entry discarded, "
+                               "recollecting");
+      }
       bool resumed = false;
       if (journal && options.resume && journal->contains(key)) {
         try {
@@ -304,10 +308,11 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
       }
       if (!resumed) {
         Dataset batch = run_setting(cpu, setting, config_count, policy);
-        // Write-ahead: persist before the study depends on the data. A
-        // journal append that fails (ENOSPC, EIO...) degrades durability —
-        // a later crash would recollect this setting — but the batch is
-        // already in memory, so the study itself continues.
+        // Write-ahead: persist before the study depends on the data. The
+        // record publishes the batch first, so the study goes on with what
+        // a resume would load. A journal append that fails (ENOSPC, EIO...)
+        // degrades durability — a later crash would recollect this setting
+        // — but the published batch is in memory, so the study continues.
         if (journal) {
           try {
             journal->record(key, batch);

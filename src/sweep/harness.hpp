@@ -104,7 +104,10 @@ struct StudyRunOptions {
   /// the resumed dataset is bit-identical to an uninterrupted run.
   bool resume = false;
   /// Guard every Runner call with retry/timeout/quarantine handling. When
-  /// false, runner exceptions propagate (the seed behaviour).
+  /// false, runner exceptions propagate (the seed behaviour), and a
+  /// journaled run stops with StudyJournal::record's std::invalid_argument
+  /// on a setting with a non-finite result, which no journal entry can
+  /// hold.
   bool resilient = false;
   ResilienceOptions resilience;
   std::function<void(const std::string&)> progress;

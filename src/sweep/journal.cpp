@@ -2,14 +2,22 @@
 
 #include <cctype>
 #include <cstdio>
+#include <stdexcept>
 
+#include "store/compact.hpp"
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
+#include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 
 namespace omptune::sweep {
 
 namespace {
+
+constexpr const char* kEntryExtension = ".omps";
+constexpr const char* kLegacyExtension = ".csv";
 
 /// Filesystem-safe rendering of a setting key; uniqueness comes from the
 /// appended hash, the prefix only keeps the files greppable.
@@ -30,6 +38,28 @@ std::string hash16(const std::string& key) {
   return buf;
 }
 
+/// Sorted names of the files in `dir` ending in `extension`.
+std::vector<std::string> files_ending(const std::string& dir,
+                                      std::string_view extension) {
+  std::vector<std::string> out;
+  for (const std::string& name : util::list_files(dir)) {
+    if (name.size() > extension.size() && name.ends_with(extension)) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
+/// `path`'s bytes, read rather than mapped; a file that cannot be opened
+/// or read is corruption of the journal, named by its path.
+util::MappedFile read_entry_file(const std::string& path) {
+  try {
+    return util::MappedFile(path, util::MappedFile::Mode::ForceBuffered);
+  } catch (const std::exception& error) {
+    throw util::DataCorruptionError(path + ": " + error.what());
+  }
+}
+
 }  // namespace
 
 StudyJournal::StudyJournal(std::string directory)
@@ -41,16 +71,28 @@ StudyJournal::StudyJournal(std::string directory)
   util::remove_stale_temp_files(directory_);
 }
 
+std::string StudyJournal::path_for(const std::string& key,
+                                   const char* extension) const {
+  return util::path_join(directory_, sanitize(key) + "-" + hash16(key) + extension);
+}
+
 std::string StudyJournal::entry_path(const std::string& key) const {
-  return util::path_join(directory_, sanitize(key) + "-" + hash16(key) + ".csv");
+  return path_for(key, kEntryExtension);
 }
 
 bool StudyJournal::contains(const std::string& key) const {
   return util::file_exists(entry_path(key));
 }
 
-void StudyJournal::record(const std::string& key, const Dataset& dataset) const {
-  util::atomic_write_file(entry_path(key), dataset.csv_text());
+void StudyJournal::record(const std::string& key, Dataset& batch) const {
+  batch.publish();
+  std::string image;
+  try {
+    image = store::serialize_store(batch);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument("journal entry '" + key + "': " + error.what());
+  }
+  util::atomic_write_file(entry_path(key), image);
 }
 
 Dataset StudyJournal::load(const std::string& key,
@@ -60,18 +102,23 @@ Dataset StudyJournal::load(const std::string& key,
     throw util::DataCorruptionError("journal entry '" + key +
                                     "' missing from " + directory_);
   }
-  Dataset dataset = Dataset::load_csv_file(path);
-  if (expected_samples > 0 && dataset.size() != expected_samples) {
+  const store::StoreReader entry = open_entry(path);
+  if (expected_samples > 0 && entry.size() != expected_samples) {
     throw util::DataCorruptionError(
         path + ": journal entry for '" + key + "' holds " +
-        std::to_string(dataset.size()) + " samples, expected " +
+        std::to_string(entry.size()) + " samples, expected " +
         std::to_string(expected_samples));
   }
-  return dataset;
+  return entry.load();
 }
 
 void StudyJournal::discard(const std::string& key) const {
   util::remove_file_durable(entry_path(key));
+}
+
+bool StudyJournal::discard_legacy(const std::string& key) const {
+  const std::string path = path_for(key, kLegacyExtension);
+  return util::file_exists(path) && util::remove_file_durable(path);
 }
 
 void StudyJournal::adopt(const StudyJournal& other, const std::string& key) const {
@@ -83,20 +130,28 @@ void StudyJournal::adopt(const StudyJournal& other, const std::string& key) cons
   // Both sides hold the key: merge by measurement identity, best status
   // wins. Deterministic collection makes the common duplicate identical,
   // but a quarantined placeholder must never shadow a clean recollection.
-  Dataset combined = load(key);
-  combined.append(other.load(key));
-  record(key, std::move(combined).deduped());
+  // Both entries are already in the published form.
+  store::StoreBuilder merged(store::StoreBuilder::Duplicates::Resolve);
+  merged.add(open_entry(entry_path(key)));
+  merged.add(open_entry(other.entry_path(key)));
+  util::atomic_write_file(entry_path(key), std::move(merged).finish());
   other.discard(key);
 }
 
+store::StoreReader StudyJournal::open_entry(const std::string& path) {
+  return store::StoreReader(read_entry_file(path));
+}
+
 std::vector<std::string> StudyJournal::entry_files() const {
-  std::vector<std::string> out;
-  for (const std::string& name : util::list_files(directory_)) {
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".csv") {
-      out.push_back(name);
-    }
-  }
-  return out;
+  return files_ending(directory_, kEntryExtension);
+}
+
+std::vector<std::string> StudyJournal::legacy_entry_files() const {
+  return files_ending(directory_, kLegacyExtension);
+}
+
+store::CompactReport StudyJournal::compact(const std::string& out_path) const {
+  return store::compact_journal(*this, out_path);
 }
 
 }  // namespace omptune::sweep

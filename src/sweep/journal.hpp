@@ -3,19 +3,24 @@
 // Write-ahead journal for resumable studies.
 //
 // A study is a sequence of settings; the journal persists each setting's
-// samples to its own CSV file the moment the setting completes, via an
-// atomic temp-file + fsync + rename write (util::atomic_write_file). A
-// crash therefore loses at most the in-flight setting; on resume the
-// harness replays completed settings from disk and recollects only the
-// rest. Because per-setting RNG seeds derive from the setting key (not the
-// global sequence position), a resumed study is bit-identical to an
-// uninterrupted one.
+// samples to its own .omps store file (the format of store/format.hpp) the
+// moment the setting completes, via an atomic temp-file + fsync + rename
+// write (util::atomic_write_file). A crash therefore loses at most the
+// in-flight setting; on resume the harness replays completed settings from
+// disk and recollects only the rest. Because per-setting RNG seeds derive
+// from the setting key (not the global sequence position), and every entry
+// holds its batch in the published form (Dataset::publish), a resumed study
+// is bit-identical to an uninterrupted one.
 //
-// Layout: <dir>/<sanitized-key>-<hash16>.csv — human-greppable prefix plus
+// Layout: <dir>/<sanitized-key>-<hash16>.omps — human-greppable prefix plus
 // a stable 64-bit hash so distinct keys can never collide after
-// sanitization. Loading validates the CSV and, when the caller knows it,
-// the sample count; every validation failure surfaces as
-// util::DataCorruptionError, never as a silently short dataset.
+// sanitization. Every read of an entry goes through store::StoreReader with
+// every section checksum verified and, when the caller knows it, the sample
+// count; every validation failure surfaces as util::DataCorruptionError,
+// never as a silently short dataset. Entries written before the journal
+// used the store format (<sanitized-key>-<hash16>.csv) are legacy: no
+// reader accepts them. Collection discards them and recollects their
+// settings (discard_legacy); compaction refuses a journal that holds one.
 
 #include <cstddef>
 #include <string>
@@ -25,6 +30,7 @@
 
 namespace omptune::store {
 struct CompactReport;
+class StoreReader;
 }
 
 namespace omptune::sweep {
@@ -39,45 +45,72 @@ class StudyJournal {
   /// Whether a completed entry for `key` exists.
   bool contains(const std::string& key) const;
 
-  /// Persist a setting's samples under `key` (atomic replace).
-  void record(const std::string& key, const Dataset& dataset) const;
+  /// Put `batch` into its published form in place (Dataset::publish), then
+  /// persist it under `key` as an .omps store (atomic replace). The caller
+  /// keeps the published batch, so what it goes on to use is exactly what
+  /// a resume would load. Throws util::StorageError on a failed write —
+  /// after the batch was published — and std::invalid_argument, naming
+  /// `key` and writing nothing, on a batch no store can hold (a non-finite
+  /// runtime, mean or speedup; see store::StoreBuilder::finish).
+  void record(const std::string& key, Dataset& batch) const;
+  void record(const std::string& key, Dataset&& batch) const {
+    record(key, batch);
+  }
 
   /// Load the entry for `key`. `expected_samples` > 0 additionally asserts
-  /// the stored sample count (a clean-boundary truncation is otherwise
-  /// undetectable). Throws util::DataCorruptionError on a missing,
-  /// malformed, or short entry.
+  /// the stored sample count. Throws util::DataCorruptionError on a
+  /// missing, malformed, or short entry.
   Dataset load(const std::string& key, std::size_t expected_samples = 0) const;
 
   /// Remove the entry for `key` if present (durable: the parent directory
   /// is fsynced, so a discarded entry cannot resurrect after power loss).
   void discard(const std::string& key) const;
 
+  /// Durably remove a legacy CSV entry for `key`, if there is one; returns
+  /// whether one was removed. Its setting must then be recollected.
+  bool discard_legacy(const std::string& key) const;
+
   /// Move `key`'s entry from `other` into this journal. On the common path
   /// (no local entry yet) this is a metadata-only rename(2) plus directory
-  /// fsyncs — no CSV parse, no rewrite — which is what keeps the process
+  /// fsyncs — no read, no rewrite — which is what keeps the process
   /// supervisor's per-worker-journal promotion cheap. If BOTH journals hold
   /// the key (a reassigned shard whose original worker did finish), the two
-  /// entries are merged by the Ok > Retried > Quarantined dedupe instead,
-  /// so a clean recollection never loses to a quarantined placeholder.
-  /// No-op when `other` has no entry for `key`.
+  /// entries are merged row by row through a store::StoreBuilder under the
+  /// Ok > Retried > Quarantined dedupe instead, so a clean recollection
+  /// never loses to a quarantined placeholder. No-op when `other` has no
+  /// entry for `key`.
   void adopt(const StudyJournal& other, const std::string& key) const;
 
-  /// Keys with completed entries, sorted by file name.
+  /// Open the entry (or any journal-written store) at `path`, reading it
+  /// into memory rather than mapping it: an entry shrunk under a mapping
+  /// would raise SIGBUS instead of a typed error. Every store check runs.
+  /// A file that cannot be opened or read throws util::DataCorruptionError
+  /// naming `path`, like one that fails validation, so every reader of an
+  /// entry (load, adopt, compaction) handles one error type.
+  static store::StoreReader open_entry(const std::string& path);
+
+  /// File names of the completed entries, sorted.
   std::vector<std::string> entry_files() const;
+
+  /// File names of legacy CSV entries, sorted.
+  std::vector<std::string> legacy_entry_files() const;
 
   /// File path backing `key` (exposed for tests that corrupt entries).
   std::string entry_path(const std::string& key) const;
 
-  /// Compact every completed entry (many per-setting CSVs) into one binary
-  /// .omps store file at `out_path`. Entries are concatenated in file-name
-  /// order and deduplicated by measurement identity — the best-status
-  /// occurrence wins (Ok over Retried over Quarantined), so a re-recorded
-  /// setting never resurrects a quarantined placeholder. Implemented by the
-  /// store subsystem — link omptune_store to use. Throws
-  /// util::DataCorruptionError if any entry fails validation.
+  /// Compact every completed entry into one .omps store file at
+  /// `out_path` (store::compact_journal): entries are concatenated in
+  /// file-name order and deduplicated by measurement identity — the
+  /// best-status occurrence wins (Ok over Retried over Quarantined), so a
+  /// re-recorded setting never resurrects a quarantined placeholder.
+  /// Throws util::DataCorruptionError if any entry fails validation or the
+  /// journal holds a legacy CSV entry.
   store::CompactReport compact(const std::string& out_path) const;
 
  private:
+  /// `key`'s entry path with the given extension.
+  std::string path_for(const std::string& key, const char* extension) const;
+
   std::string directory_;
 };
 

@@ -75,7 +75,7 @@ void collect_settings(LeaseLink& link, const std::string& journal_dir,
     current = &item;
     samples_in_setting = 0;
     const SettingTask& task = tasks[item.task_index];
-    const Dataset batch =
+    Dataset batch =
         harness.run_setting(arch::architecture(task.arch), task.setting,
                             task.config_count, policy.get());
     journal.record(task.key, batch);
@@ -138,6 +138,9 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const SettingTask& task = tasks[i];
+    if (journal.discard_legacy(task.key)) {
+      say(task.key + " legacy CSV journal entry discarded, recollecting");
+    }
     if (options_.resume && journal.contains(task.key)) {
       try {
         journal.load(task.key, task.config_count);  // validate before trusting
@@ -167,7 +170,7 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
     const SettingTask& task = tasks[idx];
     const std::string full = "crashed " + std::to_string(crashes[idx]) +
                              " worker processes; last evidence: " + evidence;
-    const Dataset placeholder = quarantined_setting_dataset(
+    Dataset placeholder = quarantined_setting_dataset(
         arch::architecture(task.arch), task.setting, task.config_count,
         options_.repetitions, options_.seed, full);
     journal.record(task.key, placeholder);

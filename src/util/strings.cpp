@@ -1,7 +1,9 @@
 #include "util/strings.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace omptune::util {
 
@@ -81,6 +83,35 @@ char* write_fixed_double(char* first, double value, int precision) {
   char* const last = first + fixed_double_chars(precision);
   return std::to_chars(first, last, value, std::chars_format::fixed, precision)
       .ptr;
+}
+
+double round_fixed_double(double value, int precision) {
+  static constexpr std::array<double, 23> kPowers = {
+      1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+      1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+  if (precision >= 0 && precision < static_cast<int>(kPowers.size())) {
+    // 10^precision is exact, so p is the scaled value rounded once and
+    // err the exact rest. Below 2^52 every half-integer is representable:
+    // p lands on the other side of a rounding boundary than the exact
+    // value only when it lands on the boundary itself, and then the sign
+    // of err says which way the exact value lies (zero: a true tie, which
+    // nearbyint already broke to even, as printf does).
+    const double scale = kPowers[static_cast<std::size_t>(precision)];
+    const double p = value * scale;
+    if (std::fabs(p) < 0x1p52) {
+      double r = std::nearbyint(p);
+      const double frac = p - r;  // exact: r is within 0.5 of p
+      if (frac == 0.5 || frac == -0.5) {
+        const double err = std::fma(value, scale, -p);
+        if (frac == 0.5 && err > 0.0) r += 1.0;
+        if (frac == -0.5 && err < 0.0) r -= 1.0;
+      }
+      // r and scale are exact, so one correctly rounded division is the
+      // parse of r's decimal text.
+      return r / scale;
+    }
+  }
+  return parse_double(format_double(value, precision)).value_or(value);
 }
 
 std::string format_double(double value, int precision) {

@@ -44,6 +44,12 @@ constexpr std::size_t fixed_double_chars(int precision) {
 /// returns the end of the text (no terminator is written).
 char* write_fixed_double(char* first, double value, int precision);
 
+/// The double that write_fixed_double(value, precision)'s text parses back
+/// as (printf's round-half-even on the exact binary value, then the
+/// correctly rounded parse), computed without the text for every value
+/// whose scaled magnitude is below 2^52 and through it above.
+double round_fixed_double(double value, int precision);
+
 /// printf-style double formatting with fixed precision; never truncates.
 std::string format_double(double value, int precision);
 

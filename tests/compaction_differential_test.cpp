@@ -1,11 +1,17 @@
 // Differential test for streaming compaction: journal compaction and
-// tiered merges now feed one StoreBuilder an entry (or member store) at a
-// time and resolve duplicates as rows arrive, instead of concatenating
-// every Sample, deduping and serializing. The store bytes and the report
-// tallies must equal those of the implementation they replaced — kept below
-// verbatim (serialize_store, the string-keyed Dataset::deduped, the
-// compact_journal body and the tiered merge body; only the calls between
-// them are renamed to the copies).
+// tiered merges feed one StoreBuilder an entry (or member store) at a time,
+// straight from its columns, and resolve duplicates as rows arrive, instead
+// of concatenating every Sample, deduping and serializing. The store bytes
+// and the report tallies must equal those of the implementation they
+// replaced — kept below verbatim (serialize_store, the string-keyed
+// Dataset::deduped, the compact_journal body and the tiered merge body;
+// only the calls between them are renamed to the copies, and the journal
+// compaction lists its own directory of CSV entries).
+//
+// Journal entries are .omps stores written by StudyJournal::record, which
+// publishes each batch first. The reference compacts what the journal held
+// before: the same batches' csv_text, one CSV file per entry. Equal bytes
+// therefore also prove that the published form is the CSV read-back.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -330,19 +336,19 @@ Dataset reference_deduped(const Dataset& dataset, DedupeReport* report) {
   return Dataset(std::move(samples_));
 }
 
-CompactReport reference_compact_journal(const sweep::StudyJournal& journal,
+CompactReport reference_compact_journal(const std::string& csv_dir,
                               const std::string& out_path) {
   CompactReport report;
   sweep::Dataset combined;
-  for (const std::string& name : journal.entry_files()) {
+  for (const std::string& name : util::list_files(csv_dir)) {
     sweep::Dataset entry =
-        sweep::Dataset::load_csv_file(util::path_join(journal.directory(), name));
+        sweep::Dataset::load_csv_file(util::path_join(csv_dir, name));
     report.samples_in += entry.size();
     combined.append(std::move(entry));
     ++report.entries;
   }
 
-  sweep::Dataset::DedupeReport dedupe;
+  sweep::DedupeReport dedupe;
   sweep::Dataset deduped = reference_deduped(combined, &dedupe);
   report.duplicates_dropped = dedupe.duplicates;
   report.replaced = dedupe.replaced;
@@ -456,7 +462,7 @@ TieredReport reference_tiered_compact(const std::vector<std::string>& inputs,
           throw;
         }
       }
-      sweep::Dataset::DedupeReport dedupe;
+      sweep::DedupeReport dedupe;
       sweep::Dataset deduped = reference_deduped(combined, &dedupe);
       report.duplicates_dropped += dedupe.duplicates;
       report.replaced += dedupe.replaced;
@@ -551,28 +557,51 @@ void quarantine(Sample& s, const std::string& error) {
   s.speedup = 0.0;
 }
 
-/// Writes each dataset as one journal entry, named so that file-name order
-/// is argument order.
-std::string write_journal(const std::string& dir,
-                          const std::vector<Dataset>& entries) {
-  const std::string journal = util::path_join(dir, "journal");
-  util::create_directories(journal);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "entry-%03zu.csv", i);
-    util::atomic_write_file(util::path_join(journal, name), entries[i].csv_text());
-  }
-  return journal;
+/// A journal of .omps entries and, beside it, the CSV entries the journal
+/// held before (the reference's input), under the same file-name stems.
+struct Journals {
+  std::string journal;
+  std::string csv;
+};
+
+/// The CSV twin of `journal`'s entry for `key`: `batch`'s CSV text in
+/// `csv_dir`, under the entry's file-name stem, so both directories list
+/// their entries in the same order.
+void write_csv_entry(const sweep::StudyJournal& journal, const std::string& csv_dir,
+                     const std::string& key, const Dataset& batch) {
+  util::create_directories(csv_dir);
+  const std::string stem =
+      std::filesystem::path(journal.entry_path(key)).stem().string();
+  util::atomic_write_file(util::path_join(csv_dir, stem + ".csv"),
+                          batch.csv_text());
 }
 
-/// Compacts `journal_dir` with both implementations; bytes and every report
-/// field must agree. Returns the new implementation's report.
+/// Records each dataset as one journal entry, keyed so that file-name order
+/// is argument order, and writes its CSV twin.
+Journals write_journal(const std::string& dir,
+                       const std::vector<Dataset>& entries) {
+  const Journals out{util::path_join(dir, "journal"), util::path_join(dir, "csv")};
+  const sweep::StudyJournal journal(out.journal);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    char key[32];
+    std::snprintf(key, sizeof key, "entry-%03zu", i);
+    write_csv_entry(journal, out.csv, key, entries[i]);
+    Dataset batch = entries[i];
+    journal.record(key, batch);
+  }
+  return out;
+}
+
+/// Compacts the journal and its CSV twin with both implementations; bytes
+/// and every report field must agree. Returns the new implementation's
+/// report.
 CompactReport expect_same_compaction(const std::string& dir,
-                                     const std::string& journal_dir) {
-  const sweep::StudyJournal journal(journal_dir);
+                                     const Journals& journals) {
+  const sweep::StudyJournal journal(journals.journal);
   const std::string expected_path = util::path_join(dir, "reference.omps");
   const std::string actual_path = util::path_join(dir, "builder.omps");
-  const CompactReport expected = reference_compact_journal(journal, expected_path);
+  const CompactReport expected =
+      reference_compact_journal(journals.csv, expected_path);
   const CompactReport actual = compact_journal(journal, actual_path);
   EXPECT_EQ(actual.entries, expected.entries);
   EXPECT_EQ(actual.samples_in, expected.samples_in);
@@ -586,14 +615,35 @@ CompactReport expect_same_compaction(const std::string& dir,
 
 TEST(CompactionDifferential, MiniTableIIJournal) {
   const std::string dir = temp_dir("mini");
-  sim::ModelRunner runner;
-  sweep::SweepHarness harness(runner, 4, 11);
-  sweep::StudyRunOptions options;
-  options.journal_dir = util::path_join(dir, "journal");
-  options.resilient = true;
   // The benchmark's miniature Table II plan: three apps per architecture.
-  harness.run_study(sweep::StudyPlan::mini_plan(3, 24), options);
-  const CompactReport report = expect_same_compaction(dir, options.journal_dir);
+  const sweep::StudyPlan plan = sweep::StudyPlan::mini_plan(3, 24);
+  sweep::StudyRunOptions options;
+  options.resilient = true;
+  sim::ModelRunner runner;
+  sweep::SweepHarness unjournaled(runner, 4, 11);
+  const Dataset batches = unjournaled.run_study(plan, options);
+
+  // The journal as a journaled study writes it, and the CSV entry a
+  // journal held for each of the same batches before entries were stores.
+  const Journals journals{util::path_join(dir, "journal"), util::path_join(dir, "csv")};
+  options.journal_dir = journals.journal;
+  sweep::SweepHarness harness(runner, 4, 11);
+  harness.run_study(plan, options);
+  const sweep::StudyJournal journal(journals.journal);
+  std::size_t first = 0;
+  for (const sweep::ArchPlan& arch_plan : plan.arch_plans) {
+    const arch::CpuArch& cpu = arch::architecture(arch_plan.arch);
+    for (std::size_t i = 0; i < arch_plan.settings.size(); ++i) {
+      const std::size_t count = arch_plan.configs_per_setting[i];
+      write_csv_entry(journal, journals.csv,
+                      sweep::setting_key(cpu.name, arch_plan.settings[i]),
+                      rows(batches, first, first + count));
+      first += count;
+    }
+  }
+  ASSERT_EQ(first, batches.size());
+
+  const CompactReport report = expect_same_compaction(dir, journals);
   EXPECT_EQ(report.entries, 9u);
   EXPECT_EQ(report.samples_out, 9u * 24u);
   std::filesystem::remove_all(dir);
@@ -603,7 +653,7 @@ TEST(CompactionDifferential, LaterOkReplacesQuarantinedAndRetriedRows) {
   const Dataset clean = mini_study();
   const std::size_t n = clean.size();
   const std::string dir = temp_dir("replace");
-  const std::string journal = write_journal(
+  const Journals journal = write_journal(
       dir, {rows(clean, 0, n / 2,
                  [](Sample& s, std::size_t i) {
                    if (i % 3 == 0) quarantine(s, "lost node " + std::to_string(i % 7));
@@ -633,7 +683,7 @@ TEST(CompactionDifferential, DroppedRowsLeaveNoErrorStringOrWidestRuntimes) {
   const std::string dir = temp_dir("dropped");
   // Replaced: a quarantined first occurrence later upgraded by a clean one.
   // Dropped: a quarantined duplicate arriving after the clean row.
-  const std::string journal = write_journal(
+  const Journals journal = write_journal(
       dir, {rows(clean, 0, 1, [&](Sample& s, std::size_t) { widen(s, "only in the replaced row"); }),
             rows(clean, 0, clean.size()),
             rows(clean, 5, 6, [&](Sample& s, std::size_t) { widen(s, "only in the dropped row"); })});
@@ -658,12 +708,41 @@ TEST(CompactionDifferential, InterleavedSettingsAndEmptyEntries) {
   for (std::size_t i = 0; i < n; ++i) {
     (i % 2 == 0 ? even : odd).add(clean.samples()[i]);
   }
-  const std::string journal =
+  const Journals journal =
       write_journal(dir, {even, Dataset(), odd, rows(clean, n / 3, n / 2)});
   const CompactReport report = expect_same_compaction(dir, journal);
   EXPECT_EQ(report.samples_out, n);
   EXPECT_GT(StoreReader(util::path_join(dir, "builder.omps")).setting_count(),
             n / 5);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CompactionDifferential, EntriesMixingSuitesKindsAndErrors) {
+  // Every dictionary-coded column varies within an entry, and the two
+  // entries meet the values in different orders, so each entry's codes
+  // differ from the store's.
+  sim::ModelRunner runner;
+  sweep::SweepHarness harness(runner, 2, 13);
+  const Dataset study = harness.run_study(sweep::StudyPlan::mini_plan(8, 3));
+  Dataset forward, backward;
+  for (std::size_t i = 0; i < study.size(); ++i) {
+    Sample s = study.samples()[i];
+    if (i % 4 == 1) {
+      s.status = sweep::SampleStatus::Retried;
+      s.error = "retry " + std::to_string(i % 3);
+    }
+    (i % 2 == 0 ? forward : backward).add(std::move(s));
+  }
+  std::vector<Sample> reversed(backward.samples().rbegin(),
+                               backward.samples().rend());
+  const std::string dir = temp_dir("dictionaries");
+  const CompactReport report = expect_same_compaction(
+      dir, write_journal(dir, {forward, Dataset(std::move(reversed))}));
+  EXPECT_EQ(report.samples_out, study.size());
+  const StoreReader reader(util::path_join(dir, "builder.omps"));
+  EXPECT_GT(reader.suites().size(), 1u);
+  EXPECT_GT(reader.kinds().size(), 1u);
+  EXPECT_GT(reader.errors().size(), 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -686,8 +765,10 @@ TEST(CompactionDifferential, NamesDifferingOnlyWhereTheSlashFallsBothSurvive) {
   right.arch = "x";
   right.app = "y/z";
   const std::string dir = temp_dir("slash");
-  const sweep::StudyJournal journal(write_journal(
-      dir, {Dataset(std::vector<Sample>{left}), Dataset(std::vector<Sample>{right})}));
+  const sweep::StudyJournal journal(
+      write_journal(dir, {Dataset(std::vector<Sample>{left}),
+                          Dataset(std::vector<Sample>{right})})
+          .journal);
   const std::string path = util::path_join(dir, "slash.omps");
   const CompactReport report = compact_journal(journal, path);
   EXPECT_EQ(report.samples_out, 2u);

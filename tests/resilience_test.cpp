@@ -88,7 +88,7 @@ TEST(StudyJournal, RecordLoadRoundTrip) {
   const auto& cpu = architecture(ArchId::Milan);
   StudySetting setting{&apps::find_application("xsbench"),
                        apps::find_application("xsbench").default_input(), 48};
-  const Dataset batch = harness.run_setting(cpu, setting, 25);
+  Dataset batch = harness.run_setting(cpu, setting, 25);
 
   const std::string key = setting_key(cpu.name, setting);
   EXPECT_FALSE(journal.contains(key));

@@ -465,30 +465,31 @@ TEST(Dedupe, BestStatusWinsRegardlessOfOrder) {
   }
 
   // Quarantined first, clean second: the clean re-collection must replace
-  // the placeholder in place (not survive by arrival order).
-  sweep::Dataset combined = poisoned;
-  combined.append(clean);
-  sweep::Dataset::DedupeReport report;
-  const sweep::Dataset deduped = combined.deduped(&report);
-  EXPECT_EQ(deduped.size(), clean.size());
-  EXPECT_EQ(deduped.quarantined_count(), 0u);
-  EXPECT_EQ(report.duplicates, clean.size());
-  EXPECT_EQ(report.replaced, clean.size());
+  // the placeholder in place (not survive by arrival order), so the kept
+  // rows are exactly the clean study.
+  const std::string clean_image = store::serialize_store(clean);
+  store::StoreBuilder combined(store::StoreBuilder::Duplicates::Resolve);
+  combined.add(store::StoreReader(poisoned));
+  combined.add(store::StoreReader(clean));
+  EXPECT_EQ(combined.dedupe().duplicates, clean.size());
+  EXPECT_EQ(combined.dedupe().replaced, clean.size());
+  EXPECT_EQ(combined.quarantined(), 0u);
+  EXPECT_EQ(std::move(combined).finish(), clean_image);
 
   // Clean first, quarantined second: nothing to replace.
-  sweep::Dataset reversed = clean;
-  reversed.append(poisoned);
-  const sweep::Dataset deduped2 = reversed.deduped(&report);
-  EXPECT_EQ(deduped2.size(), clean.size());
-  EXPECT_EQ(deduped2.quarantined_count(), 0u);
-  EXPECT_EQ(report.replaced, 0u);
+  store::StoreBuilder reversed(store::StoreBuilder::Duplicates::Resolve);
+  reversed.add(store::StoreReader(clean));
+  reversed.add(store::StoreReader(poisoned));
+  EXPECT_EQ(reversed.dedupe().duplicates, clean.size());
+  EXPECT_EQ(reversed.dedupe().replaced, 0u);
+  EXPECT_EQ(reversed.quarantined(), 0u);
+  EXPECT_EQ(std::move(reversed).finish(), clean_image);
 }
 
 TEST(Dedupe, CompactFoldsJournalAndDropsResurrectedPlaceholders) {
   sim::ModelRunner runner;
   sweep::SweepHarness harness(runner, 2, 7);
-  const sweep::Dataset clean =
-      harness.run_study(sweep::StudyPlan::mini_plan(1, 5));
+  sweep::Dataset clean = harness.run_study(sweep::StudyPlan::mini_plan(1, 5));
 
   const std::string dir = temp_dir("compact");
   const sweep::StudyJournal journal(util::path_join(dir, "journal"));

@@ -9,9 +9,12 @@
 #include <sstream>
 
 #include "sim/executor.hpp"
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "sweep/config_space.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
+#include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 
 namespace omptune::sweep {
@@ -242,6 +245,17 @@ TEST(Dataset, AppendGrowsGeometrically) {
   }
 }
 
+/// What a StoreBuilder resolving duplicates keeps of `samples`, read back
+/// from its image, with the builder's dedupe tally in `report`.
+Dataset resolved(const std::vector<Sample>& samples, DedupeReport* report) {
+  store::StoreBuilder builder(store::StoreBuilder::Duplicates::Resolve);
+  for (const Sample& sample : samples) builder.add(sample);
+  *report = builder.dedupe();
+  return store::StoreReader(
+             util::MappedFile("<resolved>", std::move(builder).finish()))
+      .load();
+}
+
 TEST(Dataset, DedupeKeepsFirstAppearanceAndBestStatus) {
   Sample a;
   a.arch = "milan";
@@ -254,18 +268,14 @@ TEST(Dataset, DedupeKeepsFirstAppearanceAndBestStatus) {
   a_again.runtimes = {2.0};
   Sample b_clean = b;  // better status: replaces b in b's slot
   b_clean.status = SampleStatus::Retried;
-  Dataset dataset(std::vector<Sample>{a, a_again, b, b_clean});
 
-  Dataset::DedupeReport report;
-  const Dataset copy = dataset.deduped(&report);
-  const Dataset moved = std::move(dataset).deduped();
-  for (const Dataset* d : {&copy, &moved}) {
-    ASSERT_EQ(d->size(), 2u);
-    EXPECT_EQ(d->samples()[0].app, "cg");
-    EXPECT_EQ(d->samples()[0].runtimes, std::vector<double>{1.0});
-    EXPECT_EQ(d->samples()[1].app, "ep");
-    EXPECT_EQ(d->samples()[1].status, SampleStatus::Retried);
-  }
+  DedupeReport report;
+  const Dataset kept = resolved({a, a_again, b, b_clean}, &report);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept.samples()[0].app, "cg");
+  EXPECT_EQ(kept.samples()[0].runtimes, std::vector<double>{1.0});
+  EXPECT_EQ(kept.samples()[1].app, "ep");
+  EXPECT_EQ(kept.samples()[1].status, SampleStatus::Retried);
   EXPECT_EQ(report.duplicates, 2u);
   EXPECT_EQ(report.replaced, 1u);
 }
@@ -282,12 +292,11 @@ TEST(Dataset, DedupeKeepsNamesThatOnlyDifferWhereTheSlashFalls) {
   ASSERT_EQ(sample_identity(left), sample_identity(right));
   EXPECT_FALSE(SampleKey(left) == SampleKey(right));
 
-  Dataset::DedupeReport report;
-  const Dataset deduped =
-      Dataset(std::vector<Sample>{left, right, left}).deduped(&report);
-  ASSERT_EQ(deduped.size(), 2u);
-  EXPECT_EQ(deduped.samples()[0].arch, "x/y");
-  EXPECT_EQ(deduped.samples()[1].arch, "x");
+  DedupeReport report;
+  const Dataset kept = resolved({left, right, left}, &report);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept.samples()[0].arch, "x/y");
+  EXPECT_EQ(kept.samples()[1].arch, "x");
   EXPECT_EQ(report.duplicates, 1u);
 }
 

@@ -34,8 +34,8 @@
 //   omptune analyze <dataset>         re-derive every artefact from a
 //                                      dataset (.csv or .omps store)
 //   omptune compact <journal> <out.omps>
-//                                      fold a journal's per-setting CSVs
-//                                      into one indexed store
+//                                      fold a journal's per-setting
+//                                      entries into one indexed store
 //   omptune query <store.omps> <app> <arch>
 //                                      indexed store query + knowledge-based
 //                                      recommendation, no CSV parsing
@@ -153,8 +153,8 @@ int usage() {
       "        [--max-shard-attempts=N] [--chaos=<spec>] [--lenient]\n"
       "  analyze <dataset>                 derive artefacts from a dataset\n"
       "                                    (.csv or .omps store)\n"
-      "  compact <journal> <out.omps>      fold per-setting journal CSVs into\n"
-      "                                    one indexed binary store\n"
+      "  compact <journal> <out.omps>      fold per-setting journal entries\n"
+      "                                    into one indexed binary store\n"
       "  query <store.omps> <app> <arch>   indexed store query + knowledge-\n"
       "                                    based recommendation\n"
       "  query --remote=<socket> <app> <arch>\n"
@@ -581,7 +581,7 @@ int cmd_analyze(int argc, char** argv) {
 int cmd_compact(int argc, char** argv) {
   if (argc < 4) return usage();
   const sweep::StudyJournal journal(argv[2]);
-  if (journal.entry_files().empty()) {
+  if (journal.entry_files().empty() && journal.legacy_entry_files().empty()) {
     std::fprintf(stderr, "omptune compact: no journal entries in %s\n", argv[2]);
     return 1;
   }
