@@ -88,11 +88,11 @@ CoordRun run_coordinated(const sweep::RunnerFactory& make,
   CoordRun run;
   const auto start = std::chrono::steady_clock::now();
   sweep::Coordinator coordinator(make, options);
-  run.samples = coordinator.run(plan, out).size();
+  run.report = coordinator.run(plan, out);
   run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  run.report = coordinator.report();
+  run.samples = run.report.compaction.samples_out;
   return run;
 }
 

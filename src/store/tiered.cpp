@@ -106,22 +106,24 @@ TieredReport tiered_compact(const std::vector<std::string>& inputs,
       // no Sample is materialized.
       StoreBuilder builder(StoreBuilder::Duplicates::Resolve);
       for (const std::string& member : group) {
+        // Only original inputs may be forgiven; a bad intermediate at a
+        // deeper level is our own scratch corrupted underneath us.
+        const auto forgive = [&](const util::TuneError& err) {
+          if (level != 0 || !options.lenient) throw;
+          report.skipped_inputs.push_back(SkippedInput{member, err.what()});
+          if (options.progress) {
+            options.progress(std::string("tiered: skipping unreadable input: ") +
+                             err.what());
+          }
+        };
         try {
           const StoreReader store(member);
           builder.add(store);  // validates the whole store before a row
           if (level == 0) report.samples_in += store.size();
+        } catch (const util::StoreOpenError& err) {
+          forgive(err);
         } catch (const util::DataCorruptionError& err) {
-          // Only original inputs may be forgiven; a bad intermediate at a
-          // deeper level is our own scratch corrupted underneath us.
-          if (level == 0 && options.lenient) {
-            ++report.skipped_inputs;
-            if (options.progress) {
-              options.progress(std::string("tiered: skipping corrupt input: ") +
-                               err.what());
-            }
-            continue;
-          }
-          throw;
+          forgive(err);
         }
       }
       report.duplicates_dropped += builder.dedupe().duplicates;

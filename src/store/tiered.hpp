@@ -32,8 +32,9 @@ namespace omptune::store {
 struct TieredOptions {
   /// Stores merged per group per level. >= 2.
   std::size_t fan_in = 8;
-  /// Skip (with a warning) inputs that fail store validation instead of
-  /// aborting the compaction; skipped inputs are tallied in the report.
+  /// Skip (with a warning) inputs that cannot be opened or fail store
+  /// validation instead of aborting the compaction; each skipped input is
+  /// named in the report.
   bool lenient = false;
   /// Scratch directory for intermediates; empty = "<out_path>.tiers".
   /// Created on demand, removed after successful publish unless
@@ -45,9 +46,17 @@ struct TieredOptions {
   std::function<void(const std::string&)> progress;
 };
 
+/// One input dropped by a lenient compaction, and why.
+struct SkippedInput {
+  std::string path;
+  std::string reason;  ///< the open or validation error
+
+  bool operator==(const SkippedInput&) const = default;
+};
+
 struct TieredReport {
   std::size_t inputs = 0;               ///< input stores offered
-  std::size_t skipped_inputs = 0;       ///< inputs dropped under lenient
+  std::vector<SkippedInput> skipped_inputs;  ///< inputs dropped under lenient
   std::size_t tiers = 0;                ///< merge levels executed
   std::size_t merges = 0;               ///< group merges executed (incl. reused)
   std::size_t reused_intermediates = 0; ///< valid intermediates adopted as-is
@@ -66,9 +75,10 @@ struct TieredReport {
 /// `out_path`. Equivalent to loading all inputs in order, deduping by
 /// status preference and writing the result — but executed in tiers of
 /// `fan_in` with crash-safe intermediates and an atomic final publish.
-/// Throws std::invalid_argument on empty inputs or fan_in < 2;
+/// Throws std::invalid_argument on empty inputs or fan_in < 2; in strict
+/// mode, util::StoreOpenError when an input cannot be opened and
 /// util::DataCorruptionError (naming file and offset) when an input or a
-/// stale intermediate's replacement fails validation in strict mode.
+/// stale intermediate's replacement fails validation.
 TieredReport tiered_compact(const std::vector<std::string>& inputs,
                             const std::string& out_path,
                             const TieredOptions& options = {});

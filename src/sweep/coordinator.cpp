@@ -15,6 +15,7 @@
 #include "store/reader.hpp"
 #include "sweep/fleet.hpp"
 #include "sweep/journal.hpp"
+#include "sweep/sharding.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
@@ -60,10 +61,8 @@ void truncate_store_tail(const std::string& path) {
 /// (shard, attempt). Returns the shard's sample count for `done`.
 std::uint64_t collect_shard(LeaseLink& link, sim::Runner& runner,
                             const CoordinatorOptions& options,
-                            const StudyPlan& plan, std::size_t shard_count,
-                            const std::string& work_dir, std::size_t shard,
-                            int attempt) {
-  const StudyPlan slice = shard_plan(plan, shard, shard_count);
+                            const StudyPlan& slice, const std::string& work_dir,
+                            std::size_t shard, int attempt) {
   const sim::ChaosMonkey monkey(options.chaos);
 
   sim::ShardFault fault =
@@ -151,16 +150,16 @@ Coordinator::Coordinator(RunnerFactory make_runner, CoordinatorOptions options)
   options_.compaction_fan_in = std::max<std::size_t>(options_.compaction_fan_in, 2);
 }
 
-Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
+const CoordinatorReport& Coordinator::run(const StudyPlan& plan,
+                                          const std::string& store_path) {
   report_ = CoordinatorReport{};
   stop_requested_.store(false);
 
   const std::vector<SettingTask> tasks = flatten_plan(plan);
   if (tasks.empty()) {
-    Dataset empty;
-    empty.save_store(store_path);
+    Dataset().save_store(store_path);
     report_.store_path = store_path;
-    return empty;
+    return report_;
   }
 
   std::size_t shard_count = options_.shards != 0
@@ -186,11 +185,11 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     return util::path_join(shards_dir, shard_key_name(shard) + ".omps");
   };
 
-  // Per-shard expected sample counts (validation of delivered stores) and
-  // the plan fingerprint guarding --resume against a mismatched plan.
-  std::vector<std::size_t> expected(shard_count, 0);
+  // Per-shard plans (what a delivered store must hold) and the plan
+  // fingerprint guarding --resume against a mismatched plan.
+  std::vector<StudyPlan> shard_plans;
   for (std::size_t i = 0; i < shard_count; ++i) {
-    expected[i] = plan_sample_count(shard_plan(plan, i, shard_count));
+    shard_plans.push_back(shard_plan(plan, i, shard_count));
   }
   std::uint64_t plan_hash = 0x0c00d1a7e5eedULL;
   for (const SettingTask& task : tasks) {
@@ -224,17 +223,13 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     }
   };
 
-  /// nullopt when shard `i`'s store is a valid, complete delivery;
+  /// nullopt when shard `i`'s store is a valid delivery of its shard plan;
   /// otherwise a human-readable reason.
   const auto validate_shard = [&](std::size_t i) -> std::optional<std::string> {
     try {
       const store::StoreReader delivered(shard_store_path(i));
       delivered.ensure_scan_validated();
-      if (delivered.size() != expected[i]) {
-        return "store has " + std::to_string(delivered.size()) +
-               " samples, shard plan expects " + std::to_string(expected[i]);
-      }
-      return std::nullopt;
+      return shard_store_mismatch(shard_plans[i], delivered);
     } catch (const std::exception& error) {
       return std::string(error.what());
     }
@@ -250,8 +245,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
                              " collection attempts; last evidence: " +
                              lease.evidence;
     Dataset placeholder;
-    for (const SettingTask& task :
-         flatten_plan(shard_plan(plan, i, shard_count))) {
+    for (const SettingTask& task : flatten_plan(shard_plans[i])) {
       placeholder.append(quarantined_setting_dataset(
           arch::architecture(task.arch), task.setting, task.config_count,
           options_.repetitions, options_.seed, full));
@@ -259,13 +253,48 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     try {
       placeholder.save_store(shard_store_path(i));
     } catch (const util::StorageError& error) {
-      // The shard stays parked as Quarantined in the lease table; lenient
-      // assembly skips the missing store and a resume re-synthesizes it.
+      // The shard stays parked as Quarantined in the lease table; a lenient
+      // compaction skips the missing store and a resume re-synthesizes it.
       ++report_.quarantine_store_failures;
       say(shard_key_name(i) +
           " quarantine store unwritable (shard stays parked): " +
           std::string(error.what()));
     }
+  };
+
+  const auto strike_shard = [&](std::size_t i, const std::string& evidence) {
+    ShardLease& lease = table.at(i);
+    lease.state = ShardState::Pending;
+    ++lease.attempts;
+    lease.evidence = evidence;
+    if (lease.attempts >= options_.max_shard_attempts) {
+      // WAL first, store second: a kill between the two resumes as
+      // Quarantined-with-bad-store and re-synthesizes deterministically.
+      lease.state = ShardState::Quarantined;
+      save_state();
+      write_quarantine_store(i);
+      remove_flat_dir(util::path_join(shardwork_root, "s" + std::to_string(i)));
+      say(shard_key_name(i) + " quarantined after " +
+          std::to_string(lease.attempts) + " attempts: " + evidence);
+    } else {
+      const std::int64_t delay = options_.backoff.next_delay_ms(
+          options_.seed, shard_key_name(i), lease.attempts,
+          lease.prev_delay_ms);
+      lease.prev_delay_ms = delay;
+      lease.eligible_at_ms = util::monotonic_ms() + delay;
+      ++report_.re_leases;
+      report_.backoff_ms_total += delay;
+      save_state();
+      say(shard_key_name(i) + " re-lease in " + std::to_string(delay) +
+          "ms (attempt " + std::to_string(lease.attempts) + "): " + evidence);
+    }
+  };
+
+  /// A delivered store that fails validation is a strike: the shard is
+  /// recollected, or quarantined once its attempts run out.
+  const auto reject_store = [&](std::size_t i, const std::string& flaw) {
+    ++report_.truncated_stores;
+    strike_shard(i, "delivered store failed validation: " + flaw);
   };
 
   // -- startup: fresh wipe or resume reconciliation ---------------------------
@@ -304,10 +333,9 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     for (std::size_t i = 0; i < shard_count; ++i) {
       ShardLease& lease = table.at(i);
       if (lease.state == ShardState::Completed) {
-        if (validate_shard(i)) {
-          // The WAL promised a validated store but it does not hold up —
-          // recollect, keeping the attempt history.
-          lease.state = ShardState::Pending;
+        if (const std::optional<std::string> flaw = validate_shard(i)) {
+          // The WAL promised a validated store but it does not hold up.
+          reject_store(i, *flaw);
         } else {
           ++report_.shards_resumed;
           say(shard_key_name(i) + " resumed (completed)");
@@ -346,35 +374,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     save_state();
     remove_flat_dir(util::path_join(shardwork_root, "s" + std::to_string(i)));
     say(shard_key_name(i) + " completed (" + how + ", " +
-        std::to_string(expected[i]) + " samples)");
-  };
-
-  const auto strike_shard = [&](std::size_t i, const std::string& evidence) {
-    ShardLease& lease = table.at(i);
-    lease.state = ShardState::Pending;
-    ++lease.attempts;
-    lease.evidence = evidence;
-    if (lease.attempts >= options_.max_shard_attempts) {
-      // WAL first, store second: a kill between the two resumes as
-      // Quarantined-with-bad-store and re-synthesizes deterministically.
-      lease.state = ShardState::Quarantined;
-      save_state();
-      write_quarantine_store(i);
-      remove_flat_dir(util::path_join(shardwork_root, "s" + std::to_string(i)));
-      say(shard_key_name(i) + " quarantined after " +
-          std::to_string(lease.attempts) + " attempts: " + evidence);
-    } else {
-      const std::int64_t delay = options_.backoff.next_delay_ms(
-          options_.seed, shard_key_name(i), lease.attempts,
-          lease.prev_delay_ms);
-      lease.prev_delay_ms = delay;
-      lease.eligible_at_ms = util::monotonic_ms() + delay;
-      ++report_.re_leases;
-      report_.backoff_ms_total += delay;
-      save_state();
-      say(shard_key_name(i) + " re-lease in " + std::to_string(delay) +
-          "ms (attempt " + std::to_string(lease.attempts) + "): " + evidence);
-    }
+        std::to_string(plan_sample_count(shard_plans[i])) + " samples)");
   };
 
   FleetOptions fleet_options;
@@ -396,8 +396,9 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     // trips the spawn-failure cap) instead of striking every shard.
     const std::unique_ptr<sim::Runner> runner = make_runner_();
     link.serve(shard_count, [&](const protocol::LeaseItem& item) {
-      return collect_shard(link, *runner, options_, plan, shard_count,
-                           work_dir, item.task_index, item.attempt);
+      return collect_shard(link, *runner, options_,
+                           shard_plans[item.task_index], work_dir,
+                           item.task_index, item.attempt);
     });
   };
   hooks.next_lease = [&](int slot) -> std::vector<protocol::LeaseItem> {
@@ -417,8 +418,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
       say(shard_key_name(i) + " duplicate delivery ignored (h" +
           std::to_string(slot) + ")");
     } else if (const std::optional<std::string> flaw = validate_shard(i)) {
-      ++report_.truncated_stores;
-      strike_shard(i, "delivered store failed validation: " + *flaw);
+      reject_store(i, *flaw);
     } else {
       complete_shard(i, "delivered by h" + std::to_string(slot));
     }
@@ -455,7 +455,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
   report_.protocol_errors = counters.protocol_errors;
   report_.respawns = counters.respawns;
 
-  // -- report + assembly ------------------------------------------------------
+  // -- report + publish -------------------------------------------------------
   report_.shards_completed = settled();
   for (std::size_t i = 0; i < shard_count; ++i) {
     const ShardLease& lease = table.at(i);
@@ -464,68 +464,23 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     entry.shard = i;
     entry.attempts = lease.attempts;
     entry.evidence = lease.evidence;
-    for (const SettingTask& task :
-         flatten_plan(shard_plan(plan, i, shard_count))) {
+    for (const SettingTask& task : flatten_plan(shard_plans[i])) {
       entry.setting_keys.push_back(task.key);
     }
     report_.quarantined_shards.push_back(std::move(entry));
   }
 
   if (report_.interrupted) {
-    // Partial result: whatever is settled, in shard order. The store is NOT
-    // published — an interrupted run must never overwrite a complete one.
-    Dataset partial;
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      const ShardState state = table.at(i).state;
-      if (state != ShardState::Completed && state != ShardState::Quarantined) {
-        continue;
-      }
-      partial.append(Dataset::load_store(shard_store_path(i)));
-    }
+    // The store is NOT published: an interrupted run must never overwrite a
+    // complete one.
     say("resume with --dir=" + work_dir + " --resume");
-    return partial;
+    return report_;
   }
 
-  // Merge in plan order (the dataset a single-process run would return),
-  // attributing any shard-store lie to the shard that told it.
   std::vector<std::string> shard_paths;
-  std::vector<Dataset> shard_data;
-  shard_paths.reserve(shard_count);
-  shard_data.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shard_paths.push_back(shard_store_path(i));
-    try {
-      shard_data.push_back(Dataset::load_store(shard_paths.back()));
-    } catch (const util::DataCorruptionError& error) {
-      if (!options_.lenient) throw;
-      shard_data.emplace_back();
-      report_.skipped_shard_stores.push_back(
-          SkippedShardStore{i, shard_paths.back(), error.what()});
-      say(shard_key_name(i) + " unreadable at assembly — skipped (lenient)");
-    }
   }
-  MergeOptions merge_options;
-  merge_options.lenient = options_.lenient;
-  merge_options.shard_names = shard_paths;
-  merge_options.warn = say;
-  Dataset merged = merge_shards(plan, shard_data, &report_.merge, merge_options);
-
-  // The lenient summary: per-skip warnings scroll by mid-run, so the final
-  // tally restates every skipped shard store (path + reason) and setting.
-  if (!report_.skipped_shard_stores.empty() || !report_.merge.skipped.empty()) {
-    say("lenient assembly skipped " +
-        std::to_string(report_.skipped_shard_stores.size()) +
-        " shard store(s) and " + std::to_string(report_.merge.skipped.size()) +
-        " setting(s):");
-    for (const SkippedShardStore& s : report_.skipped_shard_stores) {
-      say("  store " + s.path + ": " + s.reason);
-    }
-    for (const SkippedSetting& s : report_.merge.skipped) {
-      say("  setting " + s.key + ": " + s.reason +
-          (s.shards.empty() ? std::string() : " (from " + s.shards + ")"));
-    }
-  }
-
   store::TieredOptions tiered;
   tiered.fan_in = options_.compaction_fan_in;
   tiered.lenient = options_.lenient;
@@ -544,7 +499,7 @@ Dataset Coordinator::run(const StudyPlan& plan, const std::string& store_path) {
     ::rmdir(work_dir.c_str());
     report_.work_dir.clear();
   }
-  return merged;
+  return report_;
 }
 
 }  // namespace omptune::sweep

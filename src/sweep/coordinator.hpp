@@ -18,12 +18,15 @@
 //     that survive agent death; a re-leased shard RESUMES, never restarts.
 //   - A finished shard is published as a per-shard .omps store (atomic
 //     replace), validated by the coordinator before the shard is marked
-//     Completed — a truncated or garbled store is a strike, not a result.
+//     Completed: checksums, then its setting index against the shard plan
+//     (sweep/sharding). A truncated, garbled or mismatched store is a
+//     strike, not a result.
 //   - The coordinator persists its own write-ahead state (lease table +
 //     shard status, atomic_write_file) before acting on any transition, so
 //     a coordinator killed at ANY point resumes with --resume.
 //   - Completed shard stores merge LSM-style through store/tiered with
-//     crash-safe intermediates and an atomic final publish.
+//     crash-safe intermediates and an atomic final publish. That store is
+//     the run's only result: the coordinator assembles no Dataset.
 // Because per-setting RNG seeds derive from setting identity, the final
 // compacted store of a chaos-ridden, killed-and-resumed run is BYTE
 // IDENTICAL to a fault-free run's — the property the tests and CI cmp.
@@ -38,7 +41,6 @@
 #include "store/tiered.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/lease.hpp"
-#include "sweep/sharding.hpp"
 #include "sweep/worker.hpp"
 
 namespace omptune::sweep {
@@ -75,8 +77,8 @@ struct CoordinatorOptions {
   BackoffPolicy backoff;
   /// Failed collection attempts before a shard's settings are quarantined.
   int max_shard_attempts = 5;
-  /// Tolerate corrupt shard stores at final assembly (skip-with-warning)
-  /// instead of aborting; also forwarded to the tiered compactor.
+  /// Let the final tiered compaction skip (and name) shard stores it cannot
+  /// open or validate instead of aborting.
   bool lenient = false;
   /// Host-level fault injection executed inside the agents.
   sim::ChaosSpec chaos;
@@ -91,14 +93,6 @@ struct QuarantinedShard {
   int attempts = 0;
   std::string evidence;                   ///< last failure description
   std::vector<std::string> setting_keys;  ///< settings quarantined with it
-};
-
-/// One shard store dropped at lenient assembly: its path and why it could
-/// not be read (the summary a post-mortem needs without replaying logs).
-struct SkippedShardStore {
-  std::size_t shard = 0;
-  std::string path;
-  std::string reason;
 };
 
 struct CoordinatorReport {
@@ -120,15 +114,14 @@ struct CoordinatorReport {
   /// degraded; warned once per run.
   std::size_t wal_write_failures = 0;
   /// Quarantine placeholder stores that could not be written. The shard
-  /// stays quarantined in the report; lenient assembly skips it, and a
-  /// resume re-synthesizes the placeholder.
+  /// stays quarantined in the report; a lenient compaction skips the
+  /// missing store (compaction.skipped_inputs names it), and a resume
+  /// re-synthesizes the placeholder.
   std::size_t quarantine_store_failures = 0;
   std::vector<QuarantinedShard> quarantined_shards;
-  MergeReport merge;                 ///< final shard-merge tally
-  /// Shard stores skipped at lenient assembly (unreadable/corrupt), with
-  /// path and reason; empty in strict mode, which throws instead.
-  std::vector<SkippedShardStore> skipped_shard_stores;
-  store::TieredReport compaction;    ///< final tiered-compaction tally
+  /// Final tiered-compaction tally: samples and quarantined samples
+  /// published, and under lenient the shard stores skipped.
+  store::TieredReport compaction;
   bool interrupted = false;          ///< stopped by signal / request_stop
   std::string work_dir;              ///< where coordinator state lives
   std::string store_path;            ///< the published compacted store
@@ -142,13 +135,13 @@ class Coordinator {
   /// `make_runner` is invoked inside each host agent after fork.
   Coordinator(RunnerFactory make_runner, CoordinatorOptions options);
 
-  /// Collect the plan and publish the compacted store. Returns the merged
-  /// dataset in plan order (partial when interrupted — see
-  /// report().interrupted; the store is only published on completion).
+  /// Collect the plan and publish the compacted store; returns report().
+  /// The store is only published on completion (see report().interrupted).
   /// Throws std::runtime_error if agents cannot be spawned or fail
   /// repeatedly before becoming ready; std::invalid_argument on option
   /// misuse or a resume-state fingerprint mismatch.
-  Dataset run(const StudyPlan& plan, const std::string& store_path);
+  const CoordinatorReport& run(const StudyPlan& plan,
+                               const std::string& store_path);
 
   const CoordinatorReport& report() const { return report_; }
   const CoordinatorOptions& options() const { return options_; }

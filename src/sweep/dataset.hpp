@@ -99,11 +99,11 @@ struct DedupeReport {
   std::size_t replaced = 0;    ///< kept samples upgraded by a better status
 };
 
-/// The one duplicate-resolution rule, shared by merge_shards and the store
-/// builder: samples arrive in order, the first occurrence of a SampleKey
-/// takes the next position, and a later one replaces the kept occurrence
-/// only when its status_preference is strictly better (so ties keep the
-/// first). Kept samples therefore stay in
+/// The one duplicate-resolution rule, applied by the store builder and so
+/// by every compaction and tiered merge: samples arrive in order, the first
+/// occurrence of a SampleKey takes the next position, and a later one
+/// replaces the kept occurrence only when its status_preference is
+/// strictly better (so ties keep the first). Kept samples therefore stay in
 /// first-appearance order. An open-addressing table of positions: the keys
 /// themselves live with the caller, who reads one back through `key_at`.
 class Deduper {

@@ -2,31 +2,29 @@
 
 // Study sharding: the paper collected its 240k samples in cluster batches;
 // this utility splits a StudyPlan into independent shards (one per batch
-// job) whose datasets merge back into the exact single-run result —
+// job) whose stores merge back into the exact single-run result —
 // sharding must not change the collected data, only who collects it.
 //
 // Invariants:
 //  - shard_plan partitions the settings: every setting of `plan` appears in
 //    exactly one shard, and shard counts may exceed the number of settings
 //    (the surplus shards are simply empty plans — running one yields an
-//    empty dataset, and merge_shards tolerates empty shard datasets).
-//  - merge_shards reorders samples by the plan's setting order, keyed by
-//    setting_key(arch, setting); it validates that every setting is present
-//    exactly once with exactly the planned sample count, and throws
-//    std::invalid_argument (a caller/plan mismatch, not data corruption)
-//    otherwise.
-//  - Shards collected under a resilience policy may contain quarantined
-//    samples; those merge like any other sample (the quarantine status
-//    column survives the merge) and are surfaced through MergeReport
-//    instead of invalidating the shard — a flaky batch job loses its bad
-//    samples, never its good ones.
+//    empty store).
+//  - shard_store_mismatch is the delivery check of a shard store against
+//    its shard plan. It reads only the store's setting index (metadata,
+//    no Sample is built): the store must hold exactly the shard's
+//    settings, each with its planned row count. The shard stores
+//    themselves merge through store/tiered, the one merge of the system.
 
 #include <cstddef>
-#include <functional>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "sweep/harness.hpp"
+
+namespace omptune::store {
+class StoreReader;
+}
 
 namespace omptune::sweep {
 
@@ -36,73 +34,12 @@ namespace omptune::sweep {
 /// index >= count or count == 0.
 StudyPlan shard_plan(const StudyPlan& plan, std::size_t index, std::size_t count);
 
-/// Per-setting quarantine tally surfaced by merge_shards.
-struct QuarantinedSetting {
-  std::string key;               ///< setting_key(arch, setting)
-  std::size_t quarantined = 0;   ///< quarantined samples in the setting
-  std::size_t total = 0;         ///< planned samples in the setting
-};
-
-/// One setting dropped by a lenient merge: what was skipped, why, and which
-/// shards contributed its samples — the raw material of the final skip
-/// summary (a reader of warnings scrolled past still gets the full list).
-struct SkippedSetting {
-  std::string key;     ///< setting_key(arch, setting)
-  std::string reason;  ///< "missing from all N shards" / count mismatch
-  std::string shards;  ///< contributing shard names, "" when missing
-};
-
-struct MergeReport {
-  std::vector<QuarantinedSetting> quarantined_settings;
-  std::size_t quarantined_samples = 0;
-  std::size_t total_samples = 0;
-  /// Samples dropped because their (arch, app, setting, config) identity
-  /// appeared more than once across the shards; the best-status occurrence
-  /// (Ok over Retried over Quarantined) is the one kept.
-  std::size_t duplicate_samples = 0;
-  /// Settings skipped under MergeOptions::lenient (missing or wrong-sized);
-  /// 0 in strict mode, where those conditions throw instead.
-  std::size_t skipped_settings = 0;
-  /// The skipped settings themselves, in plan order (size equals
-  /// skipped_settings), each with its reason and contributing shards.
-  std::vector<SkippedSetting> skipped;
-};
-
-/// Knobs for the coordinator-facing merge_shards overload.
-struct MergeOptions {
-  /// Skip (with a warning) settings that are missing or have the wrong
-  /// sample count, instead of throwing. The skipped settings are counted in
-  /// MergeReport::skipped_settings; the merged dataset simply lacks them.
-  bool lenient = false;
-  /// One name per shard (typically the shard store path) used to attribute
-  /// errors to the shard that contributed the offending samples. May be
-  /// empty (shards fall back to "shard <index>") or shorter than `shards`.
-  std::vector<std::string> shard_names;
-  /// Receives one human-readable line per lenient skip. Null = silent.
-  std::function<void(const std::string&)> warn;
-};
-
-/// Merge shard datasets (in any order) into one dataset ordered exactly as
-/// the unsharded run would produce. Samples whose (arch, app, setting,
-/// config) identity appears in multiple shards — overlapping batch jobs,
-/// a re-run of a flaky shard — are deduplicated by status preference (an Ok
-/// measurement beats a Retried one beats a Quarantined placeholder, never
-/// first-wins), and the duplicate count is surfaced through MergeReport.
-/// Throws std::invalid_argument if, after dedupe, a setting of the plan is
-/// missing or its sample count disagrees with the plan. `report` (optional)
-/// receives the quarantine/duplicate tally — quarantined samples are merged
-/// and flagged, never dropped.
-Dataset merge_shards(const StudyPlan& plan, const std::vector<Dataset>& shards,
-                     MergeReport* report = nullptr);
-
-/// Coordinator-facing overload: identical merge semantics, but a missing
-/// setting or a sample-count mismatch throws util::DataCorruptionError
-/// naming the shard(s) that contributed the offending setting's samples
-/// (the `offset` field carries the first offending sample's index within
-/// its shard) — a mismatch here means a shard store lied, not that the
-/// caller passed the wrong plan. Under options.lenient the offending
-/// setting is skipped with a warning instead and the merge continues.
-Dataset merge_shards(const StudyPlan& plan, const std::vector<Dataset>& shards,
-                     MergeReport* report, const MergeOptions& options);
+/// Why `store` is not a delivery of `shard` — a setting of the plan it
+/// lacks, one with the wrong row count, or one the plan never asked for;
+/// nullopt when its setting index holds exactly the shard's settings, each
+/// with its config_count rows. A plan setting is keyed the way its samples
+/// are: num_threads == 0 stands for the architecture's cores.
+std::optional<std::string> shard_store_mismatch(const StudyPlan& shard,
+                                                const store::StoreReader& store);
 
 }  // namespace omptune::sweep

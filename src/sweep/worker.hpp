@@ -44,7 +44,7 @@ struct SettingTask {
   arch::ArchId arch;
   StudySetting setting;
   std::size_t config_count = 0;
-  std::string key;  ///< setting_key(arch, setting) — journal + merge identity
+  std::string key;  ///< setting_key(arch, setting) — the journal identity
 };
 
 /// The plan flattened to the supervisor's work-queue order (identical to

@@ -452,7 +452,7 @@ TieredReport reference_tiered_compact(const std::vector<std::string>& inputs,
           // Only original inputs may be forgiven; a bad intermediate at a
           // deeper level is our own scratch corrupted underneath us.
           if (level == 0 && options.lenient) {
-            ++report.skipped_inputs;
+            report.skipped_inputs.push_back(SkippedInput{member, err.what()});
             if (options.progress) {
               options.progress(std::string("tiered: skipping corrupt input: ") +
                                err.what());

@@ -1,24 +1,28 @@
 // Multi-host coordinator tests. The core guarantees under test:
 //
-//  1. Equivalence: a coordinated study (any host/shard split) produces the
-//     CSV-canonical identical dataset to the single-process harness, and
-//     publishes a byte-stable compacted store.
+//  1. Equivalence: a coordinated study (any host/shard split) publishes a
+//     byte-stable compacted store holding the CSV-canonical identical
+//     dataset to the single-process harness's.
 //  2. Containment: host agents SIGKILLed, wedged, truncating their shard
 //     stores, or double-delivering at deterministic chaos points never
 //     change the published store — it stays byte-identical to a fault-free
-//     run's (the property CI cmp's).
+//     run's (the property CI cmp's). Neither does a shard store that holds
+//     another shard's settings: it fails the plan check and is recollected.
 //  3. Durability: the coordinator's write-ahead lease table survives a kill
 //     mid-lease (--resume completes to the identical store), and the tiered
 //     compactor survives a kill mid-compaction (intermediates are reused,
 //     torn ones rebuilt).
 //  4. Evidence: a shard that kills every holder exhausts its attempt cap
 //     and quarantines with the termination signal on record, gated by
-//     deterministic decorrelated-jitter backoff.
+//     deterministic decorrelated-jitter backoff. Under lenient, a
+//     placeholder store that could not be written is skipped and named.
 
 #include <gtest/gtest.h>
 
+#include <errno.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -35,6 +39,7 @@
 #include "sweep/sharding.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
+#include "util/io_hooks.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -66,10 +71,20 @@ constexpr std::uint64_t kSeed = 5;
 
 StudyPlan plan_under_test() { return StudyPlan::mini_plan(2, 6); }
 
+/// The dataset's CSV with its rows sorted: the published store holds the
+/// shards one after another, not in the plan order of a single run.
 std::string canonical_csv(const Dataset& dataset) {
   std::ostringstream os;
   dataset.to_csv().write(os);
-  return os.str();
+  std::istringstream is(os.str());
+  std::string header;
+  std::getline(is, header);
+  std::vector<std::string> rows;
+  for (std::string row; std::getline(is, row);) rows.push_back(row);
+  std::sort(rows.begin(), rows.end());
+  std::string out = header + "\n";
+  for (const std::string& row : rows) out += row + "\n";
+  return out;
 }
 
 /// The single-process reference: same plan, reps and seed as the
@@ -237,8 +252,28 @@ TEST_F(TieredFixture, LenientModeSkipsTheCorruptInput) {
   options.lenient = true;
   const store::TieredReport report =
       store::tiered_compact(inputs_, out, options);
-  EXPECT_EQ(report.skipped_inputs, 1u);
+  ASSERT_EQ(report.skipped_inputs.size(), 1u);
+  EXPECT_EQ(report.skipped_inputs[0].path, inputs_[3]);
   EXPECT_EQ(report.samples_out, total_samples_ - dropped.size());
+}
+
+TEST_F(TieredFixture, MissingInputThrowsStrictAndIsSkippedLenient) {
+  const Dataset dropped = Dataset::load_store(inputs_[2]);
+  util::remove_file(inputs_[2]);
+  const std::string out = scratch_->file("out.omps");
+  EXPECT_THROW(store::tiered_compact(inputs_, out), util::StoreOpenError);
+
+  store::TieredOptions options;
+  options.lenient = true;
+  const store::TieredReport report =
+      store::tiered_compact(inputs_, out, options);
+  ASSERT_EQ(report.skipped_inputs.size(), 1u);
+  EXPECT_EQ(report.skipped_inputs[0].path, inputs_[2]);
+  EXPECT_NE(report.skipped_inputs[0].reason.find("cannot open store"),
+            std::string::npos)
+      << report.skipped_inputs[0].reason;
+  EXPECT_EQ(report.samples_out, total_samples_ - dropped.size());
+  EXPECT_EQ(Dataset::load_store(out).size(), total_samples_ - dropped.size());
 }
 
 TEST_F(TieredFixture, KillMidCompactionResumesToIdenticalBytes) {
@@ -275,10 +310,11 @@ TEST(Coordinator, MatchesSingleProcessRun) {
   CoordinatorOptions options = base_options();
   options.hosts = 3;
   Coordinator coordinator(model_factory(), options);
-  const Dataset dataset = coordinator.run(plan, out);
-  const CoordinatorReport& report = coordinator.report();
+  const CoordinatorReport& report = coordinator.run(plan, out);
+  const Dataset published = Dataset::load_store(out);
 
-  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+  EXPECT_EQ(canonical_csv(published), reference_csv(plan));
+  EXPECT_EQ(report.compaction.samples_out, published.size());
   EXPECT_EQ(report.shards_total, 4u);
   EXPECT_EQ(report.shards_completed, report.shards_total);
   EXPECT_EQ(report.host_crashes, 0u);
@@ -286,14 +322,13 @@ TEST(Coordinator, MatchesSingleProcessRun) {
   EXPECT_EQ(report.store_path, out);
   // A private work directory is removed after a completed run.
   EXPECT_TRUE(report.work_dir.empty());
-  EXPECT_EQ(Dataset::load_store(out).size(), dataset.size());
 }
 
 TEST(Coordinator, EmptyPlanPublishesEmptyStore) {
   ScratchDir scratch("coord_empty");
   const std::string out = scratch.file("empty.omps");
   Coordinator coordinator(model_factory(), base_options());
-  EXPECT_EQ(coordinator.run(StudyPlan{}, out).size(), 0u);
+  EXPECT_EQ(coordinator.run(StudyPlan{}, out).compaction.samples_out, 0u);
   EXPECT_EQ(Dataset::load_store(out).size(), 0u);
 }
 
@@ -317,15 +352,14 @@ TEST(Coordinator, ChaosRunStoreIsByteIdenticalToCleanRun) {
   chaos_options.heartbeat_timeout_ms = 1500;
   chaos_options.heartbeat_interval_ms = 10;
   Coordinator chaos_run(model_factory(), chaos_options);
-  const Dataset dataset = chaos_run.run(plan, chaotic);
-  const CoordinatorReport& report = chaos_run.report();
+  const CoordinatorReport& report = chaos_run.run(plan, chaotic);
 
   EXPECT_GT(report.host_crashes + report.hang_kills + report.truncated_stores +
                 report.duplicate_deliveries + report.re_leases,
             0u)
       << "chaos spec fired no faults; the test is vacuous";
   EXPECT_TRUE(report.quarantined_shards.empty());
-  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+  EXPECT_EQ(canonical_csv(Dataset::load_store(chaotic)), reference_csv(plan));
   EXPECT_EQ(store_bytes(clean), store_bytes(chaotic))
       << "chaos leaked into the published store";
 }
@@ -414,11 +448,46 @@ TEST(Coordinator, KillMidLeaseResumesToByteIdenticalStore) {
   resume_options.work_dir = work_dir;
   resume_options.resume = true;
   Coordinator second(model_factory(), resume_options);
-  const Dataset dataset = second.run(plan, resumed);
+  second.run(plan, resumed);
   EXPECT_FALSE(second.report().interrupted);
   EXPECT_EQ(second.report().shards_resumed, first.report().shards_completed);
-  EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
+  EXPECT_EQ(canonical_csv(Dataset::load_store(resumed)), reference_csv(plan));
   EXPECT_EQ(store_bytes(clean), store_bytes(resumed));
+}
+
+TEST(Coordinator, LyingShardStoreIsStruckAndRecollectedOnResume) {
+  const StudyPlan plan = plan_under_test();
+  ScratchDir scratch("coord_lying");
+  const std::string clean = scratch.file("clean.omps");
+  const std::string out = scratch.file("out.omps");
+  Coordinator clean_run(model_factory(), base_options());
+  clean_run.run(plan, clean);
+
+  CoordinatorOptions options = base_options();
+  options.work_dir = scratch.file("coord");
+  Coordinator first(model_factory(), options);
+  first.run(plan, out);
+
+  // Shard 0's store over shard 1's: complete, valid and the same sample
+  // count, but another shard's settings. The write-ahead state still says
+  // shard 1 is completed; the plan check at resume must disagree.
+  const std::string shards = util::path_join(options.work_dir, "shards");
+  const std::string store0 = util::path_join(shards, "shard-0.omps");
+  const std::string store1 = util::path_join(shards, "shard-1.omps");
+  ASSERT_EQ(Dataset::load_store(store0).size(),
+            Dataset::load_store(store1).size());
+  std::filesystem::copy_file(store0, store1,
+                             std::filesystem::copy_options::overwrite_existing);
+  util::remove_file(out);
+
+  options.resume = true;
+  Coordinator second(model_factory(), options);
+  const CoordinatorReport& report = second.run(plan, out);
+  EXPECT_EQ(report.truncated_stores, 1u);
+  EXPECT_EQ(report.re_leases, 1u);
+  EXPECT_EQ(report.shards_resumed, report.shards_total - 1);
+  EXPECT_TRUE(report.quarantined_shards.empty());
+  EXPECT_EQ(store_bytes(clean), store_bytes(out));
 }
 
 TEST(Coordinator, ResumeRequiresAWorkDir) {
@@ -452,8 +521,7 @@ TEST(Coordinator, PoisonousShardQuarantinesWithSignalEvidence) {
   ScratchDir scratch("coord_poison");
   const std::string out = scratch.file("poisoned.omps");
   Coordinator coordinator(model_factory(), options);
-  const Dataset dataset = coordinator.run(plan, out);
-  const CoordinatorReport& report = coordinator.report();
+  const CoordinatorReport& report = coordinator.run(plan, out);
 
   // The study completes; every poisoned shard is quarantined with the
   // termination signal on record, after backoff-gated re-leases.
@@ -472,14 +540,73 @@ TEST(Coordinator, PoisonousShardQuarantinesWithSignalEvidence) {
   // samples carry the evidence through to the published store.
   sim::ModelRunner runner;
   SweepHarness harness(runner, kReps, kSeed);
-  EXPECT_EQ(dataset.size(), harness.run_study(plan).size());
-  EXPECT_GT(dataset.quarantined_count(), 0u);
   const Dataset stored = Dataset::load_store(out);
-  EXPECT_EQ(stored.quarantined_count(), dataset.quarantined_count());
+  EXPECT_EQ(stored.size(), harness.run_study(plan).size());
+  EXPECT_GT(stored.quarantined_count(), 0u);
+  EXPECT_EQ(report.compaction.quarantined, stored.quarantined_count());
   for (const Sample& s : stored.samples()) {
     if (!s.is_quarantined()) continue;
     EXPECT_NE(s.error.find("signal 9"), std::string::npos) << s.error;
   }
+}
+
+/// Fails every write of one shard's store with ENOSPC, as a full disk
+/// would; every other path is left alone. Installed process-wide, so the
+/// forked agents inherit it, which the poisoned shard never reaches.
+class UnwritableShardStore : public util::IoHooks {
+ public:
+  explicit UnwritableShardStore(std::string name) : name_(std::move(name)) {}
+  int before(const util::IoSite& site) override {
+    return site.op == util::IoOp::Open &&
+                   site.path.find(name_) != std::string::npos
+               ? ENOSPC
+               : 0;
+  }
+
+ private:
+  std::string name_;
+};
+
+TEST(Coordinator, LenientRunSkipsAnUnwritableQuarantineStore) {
+  // One poisoned setting quarantines shard 0 on its first strike, and its
+  // placeholder store cannot be written. A lenient run publishes the other
+  // shards and names the missing store; a strict run stops at it.
+  const StudyPlan plan = plan_under_test();
+  CoordinatorOptions options = base_options();
+  options.max_shard_attempts = 1;
+  options.chaos.sticky_kill_substr = flatten_plan(plan)[0].key;
+  std::size_t planned = 0;
+  for (const SettingTask& task : flatten_plan(plan)) planned += task.config_count;
+  std::size_t poisoned = 0;
+  for (const SettingTask& task : flatten_plan(shard_plan(plan, 0, options.shards))) {
+    poisoned += task.config_count;
+  }
+
+  ScratchDir scratch("coord_lenient");
+  UnwritableShardStore full_disk("shard-0.omps");
+  util::ScopedIoHooks hooks(&full_disk);
+
+  const std::string strict_out = scratch.file("strict.omps");
+  options.work_dir = scratch.file("strict");
+  Coordinator strict(model_factory(), options);
+  EXPECT_THROW(strict.run(plan, strict_out), util::StoreOpenError);
+  EXPECT_FALSE(util::file_exists(strict_out));
+
+  options.lenient = true;
+  options.work_dir = scratch.file("lenient");
+  const std::string out = scratch.file("lenient.omps");
+  Coordinator coordinator(model_factory(), options);
+  const CoordinatorReport& report = coordinator.run(plan, out);
+  EXPECT_EQ(report.quarantine_store_failures, 1u);
+  ASSERT_EQ(report.quarantined_shards.size(), 1u);
+  EXPECT_EQ(report.quarantined_shards[0].shard, 0u);
+  ASSERT_EQ(report.compaction.skipped_inputs.size(), 1u);
+  EXPECT_NE(report.compaction.skipped_inputs[0].path.find("shard-0.omps"),
+            std::string::npos);
+  const Dataset published = Dataset::load_store(out);
+  EXPECT_EQ(published.size() + poisoned, planned);
+  EXPECT_EQ(report.compaction.samples_out, published.size());
+  EXPECT_EQ(published.quarantined_count(), 0u);
 }
 
 }  // namespace

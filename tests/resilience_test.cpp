@@ -11,12 +11,15 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "core/study.hpp"
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
+#include "store/reader.hpp"
+#include "store/tiered.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/resilience.hpp"
@@ -413,9 +416,15 @@ TEST(ResumableStudy, CorruptJournalEntryIsRecollected) {
 // ---- merge of quarantined shards -------------------------------------------
 
 TEST(MergeShards, SurfacesQuarantinedSettingsInsteadOfDropping) {
+  // Quarantined placeholders travel through the shard stores and their
+  // tiered merge: every setting of the plan is still in the merged store
+  // at full size, and the quarantined rows are there to be seen.
   const StudyPlan plan = StudyPlan::mini_plan(2, 6);
+  ScratchDir scratch("merge_quarantine");
+  std::filesystem::create_directories(scratch.path());
 
-  std::vector<Dataset> shard_data;
+  std::vector<std::string> shard_stores;
+  std::size_t quarantined_in = 0;
   for (std::size_t i = 0; i < 2; ++i) {
     sim::ModelRunner inner;
     sim::FaultSpec spec;
@@ -427,22 +436,36 @@ TEST(MergeShards, SurfacesQuarantinedSettingsInsteadOfDropping) {
     StudyRunOptions options;
     options.resilient = true;
     options.resilience.max_retries = 1;
-    shard_data.push_back(harness.run_study(shard_plan(plan, i, 2), options));
+    const Dataset shard = harness.run_study(shard_plan(plan, i, 2), options);
+    quarantined_in += shard.quarantined_count();
+    shard_stores.push_back(
+        util::path_join(scratch.path(), "shard-" + std::to_string(i) + ".omps"));
+    shard.save_store(shard_stores.back());
   }
-  const std::size_t quarantined_in =
-      shard_data[0].quarantined_count() + shard_data[1].quarantined_count();
   ASSERT_GT(quarantined_in, 0u);
 
-  MergeReport report;
-  const Dataset merged = merge_shards(plan, shard_data, &report);
+  const std::string out = util::path_join(scratch.path(), "merged.omps");
+  const store::TieredReport report = store::tiered_compact(shard_stores, out);
+  EXPECT_EQ(report.quarantined, quarantined_in);
+  EXPECT_EQ(shard_store_mismatch(plan, store::StoreReader(out)), std::nullopt);
+
+  const Dataset merged = Dataset::load_store(out);
   EXPECT_EQ(merged.size(), 3u * 2u * 6u);
   EXPECT_EQ(merged.quarantined_count(), quarantined_in);
-  EXPECT_EQ(report.quarantined_samples, quarantined_in);
-  EXPECT_FALSE(report.quarantined_settings.empty());
-  for (const auto& entry : report.quarantined_settings) {
-    EXPECT_GT(entry.quarantined, 0u);
-    EXPECT_LE(entry.quarantined, entry.total);
+  std::map<std::string, std::pair<std::size_t, std::size_t>> per_setting;
+  for (const Sample& sample : merged.samples()) {
+    auto& [quarantined, total] =
+        per_setting[sample.arch + "/" + sample.app + "/" + sample.input];
+    ++total;
+    if (sample.is_quarantined()) ++quarantined;
   }
+  std::size_t flagged_settings = 0;
+  for (const auto& [setting, counts] : per_setting) {
+    if (counts.first == 0) continue;
+    ++flagged_settings;
+    EXPECT_LE(counts.first, counts.second) << setting;
+  }
+  EXPECT_GT(flagged_settings, 0u);
 }
 
 }  // namespace

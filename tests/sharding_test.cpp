@@ -1,13 +1,26 @@
 // Sharded collection must be invisible in the data: shards partition the
-// plan, and merging their datasets reproduces the single-run dataset
-// exactly (the paper's cluster-batch collection, formalized).
+// plan, a shard store is accepted only when its setting index holds
+// exactly its shard's settings, and the shard stores merged by the tiered
+// compaction reproduce the single-run dataset exactly (the paper's
+// cluster-batch collection, formalized).
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
+#include "store/reader.hpp"
+#include "store/tiered.hpp"
+#include "sweep/coordinator.hpp"
 #include "sweep/sharding.hpp"
-#include "util/errors.hpp"
+#include "util/fs.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -18,6 +31,59 @@ StudyPlan reduced_plan() {
     for (auto& count : arch_plan.configs_per_setting) count = 40;
   }
   return plan;
+}
+
+/// Shard `i` of `count`, collected by a fresh runner as its batch job would.
+Dataset collect_shard(const StudyPlan& plan, std::size_t i, std::size_t count) {
+  sim::ModelRunner runner;
+  SweepHarness harness(runner, 2);
+  return harness.run_study(shard_plan(plan, i, count));
+}
+
+/// Unique directory per test for shard stores, removed on teardown.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag) {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
+                .string();
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  std::string file(const std::string& name) const {
+    return util::path_join(path_, name);
+  }
+
+ private:
+  std::string path_;
+};
+
+/// Save `dataset` as the store `name` in `dir`; returns its path.
+std::string write_store(const ScratchDir& dir, const std::string& name,
+                        const Dataset& dataset) {
+  const std::string path = dir.file(name);
+  dataset.save_store(path);
+  return path;
+}
+
+std::string file_bytes(const std::string& path) {
+  const std::optional<std::string> bytes = util::read_file(path);
+  EXPECT_TRUE(bytes.has_value()) << path;
+  return bytes.value_or("");
+}
+
+/// Samples by measurement identity: the merged store holds the shards one
+/// after another, not in the plan order of a single run.
+std::map<std::string, Sample> by_identity(const Dataset& dataset) {
+  std::map<std::string, Sample> samples;
+  for (const Sample& sample : dataset.samples()) {
+    samples.emplace(sample_identity(sample), sample);
+  }
+  return samples;
 }
 
 TEST(Sharding, ShardsPartitionTheSettings) {
@@ -39,65 +105,73 @@ TEST(Sharding, ShardsPartitionTheSettings) {
 }
 
 TEST(Sharding, MergedShardsEqualTheUnshardedRun) {
+  // The shard stores, merged by the tiered compaction as the coordinator
+  // publishes them, hold exactly the single run's samples.
   const StudyPlan plan = reduced_plan();
+  ScratchDir scratch("shard_equiv");
 
-  sim::ModelRunner runner_a;
-  SweepHarness single(runner_a, 2);
+  sim::ModelRunner runner;
+  SweepHarness single(runner, 2);
   const Dataset reference = single.run_study(plan);
 
-  std::vector<Dataset> shard_data;
+  std::vector<std::string> shard_stores;
   for (std::size_t i = 0; i < 4; ++i) {
-    sim::ModelRunner runner_b;  // fresh runner per "batch job"
-    SweepHarness harness(runner_b, 2);
-    shard_data.push_back(harness.run_study(shard_plan(plan, i, 4)));
+    shard_stores.push_back(write_store(scratch, "shard-" + std::to_string(i) + ".omps",
+                                       collect_shard(plan, i, 4)));
   }
-  const Dataset merged = merge_shards(plan, shard_data);
+  const std::string out = scratch.file("merged.omps");
+  const store::TieredReport report = store::tiered_compact(shard_stores, out);
+  EXPECT_EQ(report.duplicates_dropped, 0u);
+  EXPECT_EQ(report.samples_out, reference.size());
 
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const Sample& a = merged.samples()[i];
-    const Sample& b = reference.samples()[i];
-    EXPECT_EQ(a.arch, b.arch);
-    EXPECT_EQ(a.app, b.app);
-    EXPECT_EQ(a.input, b.input);
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.runtimes, b.runtimes);  // bit-identical collection
-    EXPECT_DOUBLE_EQ(a.speedup, b.speedup);
+  const std::map<std::string, Sample> merged =
+      by_identity(Dataset::load_store(out));
+  const std::map<std::string, Sample> expected = by_identity(reference);
+  ASSERT_EQ(merged.size(), expected.size());
+  for (const auto& [identity, want] : expected) {
+    const auto it = merged.find(identity);
+    ASSERT_NE(it, merged.end()) << identity;
+    const Sample& got = it->second;
+    EXPECT_EQ(got.config, want.config) << identity;
+    EXPECT_EQ(got.runtimes, want.runtimes) << identity;  // bit-identical collection
+    EXPECT_DOUBLE_EQ(got.speedup, want.speedup) << identity;
   }
 }
 
 TEST(Sharding, MergeDetectsMissingAndDedupesDuplicatedSettings) {
   const StudyPlan plan = reduced_plan();
-  sim::ModelRunner runner;
-  SweepHarness harness(runner, 2);
+  ScratchDir scratch("shard_dup");
 
-  // Missing: only one of two shards provided.
-  const Dataset half = harness.run_study(shard_plan(plan, 0, 2));
-  EXPECT_THROW(merge_shards(plan, {half}), std::invalid_argument);
+  // Missing: one of two shards is no delivery of the whole plan.
+  const Dataset half = collect_shard(plan, 0, 2);
+  const std::optional<std::string> missing =
+      shard_store_mismatch(plan, store::StoreReader(half));
+  ASSERT_TRUE(missing.has_value());
+  EXPECT_NE(missing->find("has 0 rows"), std::string::npos) << *missing;
 
   // Duplicated: the same shard twice. Re-submitted batch jobs are a normal
   // cluster accident, and the duplicates are identical measurements — the
   // merge must dedupe them (reporting the count), not refuse the merge.
-  const Dataset other = harness.run_study(shard_plan(plan, 1, 2));
-  MergeReport report;
-  const Dataset merged = merge_shards(plan, {half, half, other}, &report);
-  EXPECT_EQ(report.duplicate_samples, half.size());
+  const std::string half_store = write_store(scratch, "half.omps", half);
+  const std::string other_store =
+      write_store(scratch, "other.omps", collect_shard(plan, 1, 2));
+  const std::string twice = scratch.file("twice.omps");
+  const store::TieredReport report =
+      store::tiered_compact({half_store, half_store, other_store}, twice);
+  EXPECT_EQ(report.duplicates_dropped, half.size());
 
-  const Dataset reference = merge_shards(plan, {half, other});
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged.samples()[i].config, reference.samples()[i].config);
-    EXPECT_EQ(merged.samples()[i].runtimes, reference.samples()[i].runtimes);
-  }
+  const std::string once = scratch.file("once.omps");
+  store::tiered_compact({half_store, other_store}, once);
+  EXPECT_EQ(file_bytes(twice), file_bytes(once));
+  EXPECT_EQ(shard_store_mismatch(plan, store::StoreReader(twice)), std::nullopt);
 }
 
 TEST(Sharding, MergePrefersOkOverQuarantinedDuplicates) {
   // When a setting was re-collected after a bad node quarantined it, the
   // clean measurement must win regardless of shard arrival order.
   const StudyPlan plan = StudyPlan::mini_plan(1, 6);
-  sim::ModelRunner runner;
-  SweepHarness harness(runner, 2);
-  const Dataset clean = harness.run_study(shard_plan(plan, 0, 1));
+  ScratchDir scratch("shard_prefer");
+  const Dataset clean = collect_shard(plan, 0, 1);
 
   Dataset poisoned;
   for (Sample s : clean.samples()) {
@@ -105,21 +179,28 @@ TEST(Sharding, MergePrefersOkOverQuarantinedDuplicates) {
     s.error = "simulated node failure";
     poisoned.add(std::move(s));
   }
+  const std::string clean_store = write_store(scratch, "clean.omps", clean);
+  const std::string poisoned_store =
+      write_store(scratch, "poisoned.omps", poisoned);
+  const std::string clean_only = scratch.file("clean_only.omps");
+  store::tiered_compact({clean_store}, clean_only);
 
-  for (const auto& shards :
-       {std::vector<Dataset>{poisoned, clean}, std::vector<Dataset>{clean, poisoned}}) {
-    MergeReport report;
-    const Dataset merged = merge_shards(plan, shards, &report);
-    EXPECT_EQ(report.duplicate_samples, clean.size());
+  for (const auto& inputs : {std::vector<std::string>{poisoned_store, clean_store},
+                             std::vector<std::string>{clean_store, poisoned_store}}) {
+    const std::string out = scratch.file("merged.omps");
+    const store::TieredReport report = store::tiered_compact(inputs, out);
+    EXPECT_EQ(report.duplicates_dropped, clean.size());
+    EXPECT_EQ(report.quarantined, 0u);
+    const Dataset merged = Dataset::load_store(out);
     EXPECT_EQ(merged.quarantined_count(), 0u);
     ASSERT_EQ(merged.size(), clean.size());
+    EXPECT_EQ(file_bytes(out), file_bytes(clean_only));
   }
 }
 
 TEST(Sharding, ShardCountMayExceedSettings) {
-  // More shards than settings: the surplus shards are empty plans, running
-  // them yields empty datasets, and the merge still reconstructs the
-  // reference exactly.
+  // More shards than settings: the surplus shards are empty plans, and an
+  // empty store is their complete delivery.
   const StudyPlan plan = StudyPlan::mini_plan(1, 10);  // 3 settings total
   std::size_t total_settings = 0;
   for (const auto& arch_plan : plan.arch_plans) {
@@ -127,84 +208,152 @@ TEST(Sharding, ShardCountMayExceedSettings) {
   }
   const std::size_t shard_count = total_settings + 4;
 
-  sim::ModelRunner runner_a;
-  SweepHarness single(runner_a, 2);
-  const Dataset reference = single.run_study(plan);
-
-  std::vector<Dataset> shard_data;
   std::size_t empty_shards = 0;
+  std::size_t sharded_settings = 0;
   for (std::size_t i = 0; i < shard_count; ++i) {
     const StudyPlan shard = shard_plan(plan, i, shard_count);
-    sim::ModelRunner runner_b;
-    SweepHarness harness(runner_b, 2);
-    shard_data.push_back(harness.run_study(shard));
-    if (shard_data.back().size() == 0) ++empty_shards;
+    if (shard.arch_plans.empty()) ++empty_shards;
+    for (const auto& arch_plan : shard.arch_plans) {
+      sharded_settings += arch_plan.settings.size();
+    }
   }
   EXPECT_EQ(empty_shards, shard_count - total_settings);
+  EXPECT_EQ(sharded_settings, total_settings);
+  EXPECT_EQ(shard_store_mismatch(shard_plan(plan, shard_count - 1, shard_count),
+                                 store::StoreReader(Dataset())),
+            std::nullopt);
+}
 
-  const Dataset merged = merge_shards(plan, shard_data);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged.samples()[i].runtimes, reference.samples()[i].runtimes);
+TEST(Sharding, StoreMatchingItsShardPlanIsAccepted) {
+  const StudyPlan plan = reduced_plan();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(shard_store_mismatch(shard_plan(plan, i, 3),
+                                   store::StoreReader(collect_shard(plan, i, 3))),
+              std::nullopt)
+        << "shard " << i;
   }
+}
+
+TEST(Sharding, AnotherShardsStoreIsAMismatch) {
+  // The lying host: a complete, valid store — of the wrong shard. Its
+  // sample count can match; its settings cannot.
+  const StudyPlan plan = StudyPlan::mini_plan(2, 6);
+  const std::optional<std::string> flaw = shard_store_mismatch(
+      shard_plan(plan, 1, 2), store::StoreReader(collect_shard(plan, 0, 2)));
+  ASSERT_TRUE(flaw.has_value());
+  EXPECT_NE(flaw->find("0 rows, shard plan expects 6"), std::string::npos)
+      << *flaw;
+}
+
+TEST(Sharding, MissingOrExtraRowsAreAMismatch) {
+  const StudyPlan plan = StudyPlan::mini_plan(1, 6);
+  const StudyPlan shard = shard_plan(plan, 0, 1);
+  const Dataset full = collect_shard(plan, 0, 1);
+
+  // Torn mid-setting: the last sample is gone.
+  Dataset torn;
+  for (std::size_t i = 0; i + 1 < full.size(); ++i) {
+    torn.add(Sample(full.samples()[i]));
+  }
+  const std::optional<std::string> short_flaw =
+      shard_store_mismatch(shard, store::StoreReader(torn));
+  ASSERT_TRUE(short_flaw.has_value());
+  EXPECT_NE(short_flaw->find("5 rows, shard plan expects 6"), std::string::npos)
+      << *short_flaw;
+
+  // A setting the shard never asked for.
+  Dataset extra = full;
+  extra.append(collect_shard(StudyPlan::mini_plan(2, 6), 1, 2));
+  const std::optional<std::string> extra_flaw =
+      shard_store_mismatch(shard, store::StoreReader(extra));
+  ASSERT_TRUE(extra_flaw.has_value());
+  EXPECT_NE(extra_flaw->find("not in the shard plan"), std::string::npos)
+      << *extra_flaw;
 }
 
 TEST(Sharding, CoordinatorMergeNamesTheShardThatLied) {
-  // The coordinator-facing overload turns a plan/shard mismatch into a
-  // DataCorruptionError attributing the offending setting's samples to the
-  // shard store that contributed them — a mismatch there means a shard
-  // store lied, not that the caller passed the wrong plan.
+  // A shard store that lies — complete and valid, but another shard's —
+  // is struck at delivery, and the strike names the shard and the setting
+  // its store got wrong, so an operator can tell which host lied.
   const StudyPlan plan = StudyPlan::mini_plan(1, 6);
-  sim::ModelRunner runner;
-  SweepHarness harness(runner, 2);
-  const Dataset full = harness.run_study(shard_plan(plan, 0, 1));
+  ScratchDir scratch("shard_lied");
+  CoordinatorOptions options;
+  options.hosts = 1;
+  options.shards = 2;
+  options.repetitions = 2;
+  options.heartbeat_timeout_ms = 8000;
+  options.backoff.base_ms = 1;
+  options.backoff.max_ms = 50;
+  options.work_dir = scratch.file("coord");
+  const RunnerFactory model = [] { return std::make_unique<sim::ModelRunner>(); };
+  const std::string clean = scratch.file("clean.omps");
+  Coordinator first(model, options);
+  first.run(plan, clean);
 
-  // A shard truncated mid-setting: drop the last sample.
-  Dataset torn;
-  for (std::size_t i = 0; i + 1 < full.size(); ++i) {
-    torn.add(Sample(full.samples()[i]));
-  }
+  const std::string shards = util::path_join(options.work_dir, "shards");
+  std::filesystem::copy_file(util::path_join(shards, "shard-0.omps"),
+                             util::path_join(shards, "shard-1.omps"),
+                             std::filesystem::copy_options::overwrite_existing);
+  options.resume = true;
+  std::vector<std::string> messages;
+  options.progress = [&messages](const std::string& m) { messages.push_back(m); };
+  Coordinator second(model, options);
+  const std::string out = scratch.file("out.omps");
+  const CoordinatorReport& report = second.run(plan, out);
 
-  MergeOptions options;
-  options.shard_names = {"shards/shard-0.omps"};
-  MergeReport report;
-  try {
-    merge_shards(plan, {torn}, &report, options);
-    FAIL() << "a wrong-sized setting must abort a strict coordinator merge";
-  } catch (const util::DataCorruptionError& error) {
-    EXPECT_EQ(error.file(), "shards/shard-0.omps");
-    EXPECT_NE(std::string(error.what()).find("shard-0"), std::string::npos);
+  const StudyPlan shard1 = shard_plan(plan, 1, 2);
+  const std::string lied_setting = setting_key(
+      arch::architecture(shard1.arch_plans[0].arch).name,
+      shard1.arch_plans[0].settings[0]);
+  std::size_t strikes = 0;
+  for (const std::string& message : messages) {
+    if (message.find("failed validation") == std::string::npos) continue;
+    ++strikes;
+    EXPECT_EQ(message.rfind("shard-1 ", 0), 0u) << message;
+    EXPECT_NE(message.find("'" + lied_setting + "' has 0 rows"), std::string::npos)
+        << message;
   }
+  EXPECT_EQ(strikes, 1u);
+  EXPECT_EQ(report.re_leases, 1u);
+  EXPECT_EQ(file_bytes(out), file_bytes(clean));
 }
 
 TEST(Sharding, CoordinatorMergeLenientSkipsWithWarning) {
+  // A lenient merge drops a torn shard store whole, warns naming it, and
+  // publishes the rest exactly as if that shard had never been offered.
   const StudyPlan plan = StudyPlan::mini_plan(1, 6);
-  sim::ModelRunner runner;
-  SweepHarness harness(runner, 2);
-  const Dataset full = harness.run_study(shard_plan(plan, 0, 1));
-  Dataset torn;
-  for (std::size_t i = 0; i + 1 < full.size(); ++i) {
-    torn.add(Sample(full.samples()[i]));
+  ScratchDir scratch("shard_lenient");
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    inputs.push_back(write_store(scratch, "shard-" + std::to_string(i) + ".omps",
+                                 collect_shard(plan, i, 3)));
   }
+  const std::string without = scratch.file("without.omps");
+  store::tiered_compact({inputs[0], inputs[2]}, without);
 
-  MergeOptions options;
+  const std::string torn = file_bytes(inputs[1]);
+  util::atomic_write_file(inputs[1], torn.substr(0, torn.size() / 2));
+  store::TieredOptions options;
   options.lenient = true;
   std::vector<std::string> warnings;
-  options.warn = [&warnings](const std::string& w) { warnings.push_back(w); };
-  MergeReport report;
-  const Dataset merged = merge_shards(plan, {torn}, &report, options);
-  EXPECT_EQ(report.skipped_settings, 1u);
-  EXPECT_FALSE(warnings.empty());
-  // The skipped setting's samples (6 configs) are absent; everything else
-  // merged.
-  EXPECT_LT(merged.size(), full.size());
-  EXPECT_EQ(merged.size() + 6, full.size());
+  options.progress = [&warnings](const std::string& line) {
+    if (line.find("skipping") != std::string::npos) warnings.push_back(line);
+  };
+  const std::string out = scratch.file("out.omps");
+  const store::TieredReport report = store::tiered_compact(inputs, out, options);
+  ASSERT_EQ(report.skipped_inputs.size(), 1u);
+  EXPECT_EQ(report.skipped_inputs[0].path, inputs[1]);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("shard-1.omps"), std::string::npos) << warnings[0];
+  EXPECT_EQ(file_bytes(out), file_bytes(without));
 }
 
 TEST(Sharding, MergeCarriesQuarantinedSamplesAndReportsThem) {
   const StudyPlan plan = StudyPlan::mini_plan(2, 8);
+  ScratchDir scratch("shard_quarantine");
 
-  std::vector<Dataset> shard_data;
+  std::vector<std::string> inputs;
+  std::size_t quarantined_in = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     sim::ModelRunner inner;
     sim::FaultSpec spec;
@@ -216,22 +365,23 @@ TEST(Sharding, MergeCarriesQuarantinedSamplesAndReportsThem) {
     StudyRunOptions options;
     options.resilient = true;
     options.resilience.max_retries = 1;
-    shard_data.push_back(harness.run_study(shard_plan(plan, i, 3), options));
+    const Dataset shard = harness.run_study(shard_plan(plan, i, 3), options);
+    quarantined_in += shard.quarantined_count();
+    // Quarantined placeholders count toward the plan: the shard is complete.
+    EXPECT_EQ(shard_store_mismatch(shard_plan(plan, i, 3), store::StoreReader(shard)),
+              std::nullopt)
+        << "shard " << i;
+    inputs.push_back(write_store(scratch, "shard-" + std::to_string(i) + ".omps",
+                                 shard));
   }
-  std::size_t quarantined_in = 0;
-  for (const Dataset& d : shard_data) quarantined_in += d.quarantined_count();
   ASSERT_GT(quarantined_in, 0u) << "fault injection produced no quarantine";
 
-  MergeReport report;
-  const Dataset merged = merge_shards(plan, shard_data, &report);
+  const std::string out = scratch.file("merged.omps");
+  const store::TieredReport report = store::tiered_compact(inputs, out);
+  const Dataset merged = Dataset::load_store(out);
   EXPECT_EQ(merged.quarantined_count(), quarantined_in);
-  EXPECT_EQ(report.quarantined_samples, quarantined_in);
-  EXPECT_EQ(report.total_samples, merged.size());
-  std::size_t reported = 0;
-  for (const auto& entry : report.quarantined_settings) {
-    reported += entry.quarantined;
-  }
-  EXPECT_EQ(reported, quarantined_in);
+  EXPECT_EQ(report.quarantined, quarantined_in);
+  EXPECT_EQ(report.samples_out, merged.size());
 }
 
 }  // namespace

@@ -30,7 +30,7 @@
 //     --max-shard-attempts=<N>         strikes before a shard quarantines
 //     --chaos=<spec>                   host-level fault injection, e.g.
 //                                      seed=7,kill=0.05,truncate=0.02
-//     --lenient                        skip corrupt shard stores at assembly
+//     --lenient                        skip unreadable shard stores
 //   omptune analyze <dataset>         re-derive every artefact from a
 //                                      dataset (.csv or .omps store)
 //   omptune compact <journal> <out.omps>
@@ -492,12 +492,13 @@ int cmd_coordinate(int argc, char** argv) {
 
   sweep::Coordinator coordinator(
       [] { return std::make_unique<sim::ModelRunner>(); }, options);
-  const sweep::Dataset dataset = coordinator.run(plan, out);
-  const sweep::CoordinatorReport& report = coordinator.report();
+  const sweep::CoordinatorReport& report = coordinator.run(plan, out);
 
-  std::printf("collected %zu samples across %d host agents (%zu shards)\n",
-              dataset.size(), coordinator.options().hosts,
-              report.shards_total);
+  if (!report.interrupted) {
+    std::printf("collected %zu samples across %d host agents (%zu shards)\n",
+                report.compaction.samples_out, coordinator.options().hosts,
+                report.shards_total);
+  }
   if (report.shards_resumed > 0) {
     std::printf("resumed: %zu shards adopted from previous state\n",
                 report.shards_resumed);
@@ -528,19 +529,11 @@ int cmd_coordinate(int argc, char** argv) {
                 configs_arg.c_str(), out.c_str(), report.work_dir.c_str());
     return 130;
   }
-  if (!report.skipped_shard_stores.empty() || report.merge.skipped_settings > 0) {
-    std::printf("lenient assembly skipped %zu shard store(s) and %zu "
-                "setting(s):\n",
-                report.skipped_shard_stores.size(),
-                report.merge.skipped_settings);
-    for (const auto& s : report.skipped_shard_stores) {
+  if (!report.compaction.skipped_inputs.empty()) {
+    std::printf("lenient compaction skipped %zu shard store(s):\n",
+                report.compaction.skipped_inputs.size());
+    for (const auto& s : report.compaction.skipped_inputs) {
       std::printf("  store %s: %s\n", s.path.c_str(), s.reason.c_str());
-    }
-    for (const auto& s : report.merge.skipped) {
-      const std::string from =
-          s.shards.empty() ? std::string() : " (from " + s.shards + ")";
-      std::printf("  setting %s: %s%s\n", s.key.c_str(), s.reason.c_str(),
-                  from.c_str());
     }
   }
   std::printf("compaction: %zu shard stores, %zu tiers, %zu merges "
@@ -550,9 +543,9 @@ int cmd_coordinate(int argc, char** argv) {
               report.compaction.merges, report.compaction.reused_intermediates,
               report.compaction.samples_in, report.compaction.samples_out,
               report.compaction.duplicates_dropped);
-  const std::size_t quarantined = dataset.quarantined_count();
-  if (quarantined > 0) {
-    std::printf("quarantined samples retained: %zu\n", quarantined);
+  if (report.compaction.quarantined > 0) {
+    std::printf("quarantined samples retained: %zu\n",
+                report.compaction.quarantined);
   }
   std::printf("dataset stored to %s\n", report.store_path.c_str());
   return 0;
