@@ -4,7 +4,7 @@
 // Part 1 (native runner, acceptance target): the same fault-free mini-plan
 // collected by the StudySupervisor with 4 workers vs the Coordinator with
 // 4 host agents. The coordinator adds shard stores, a write-ahead lease
-// table and tiered final compaction on top of the same fork pipeline; at
+// table and one final compaction on top of the same fork pipeline; at
 // 0% chaos it must stay within 10% of plain supervision.
 //
 // Part 2 (model runner, determinism check): the coordinated collection

@@ -72,11 +72,6 @@ struct CpuArch {
   int cores_per_socket() const { return cores / (sockets > 0 ? sockets : 1); }
   int cores_per_numa() const { return cores / (numa_nodes > 0 ? numa_nodes : 1); }
   int cores_per_llc() const { return cores / (ll_caches > 0 ? ll_caches : 1); }
-
-  /// Peak double-precision GFLOP/s of the whole chip.
-  double peak_gflops() const {
-    return clock_ghz * flops_per_cycle_core * cores;
-  }
 };
 
 /// The three architectures of the study, in the paper's Table I order.

@@ -154,17 +154,14 @@ double FaultInjectingRunner::run(const apps::Application& app,
 
   double threshold = spec_.crash_rate;
   if (draw < threshold) {
-    ++injected_;
     throw util::TransientError("injected crash (sample " + sample_id + ")");
   }
   if (draw < (threshold += spec_.hang_rate)) {
-    ++injected_;
     std::this_thread::sleep_for(std::chrono::milliseconds(spec_.hang_ms));
     // Fall through and return the real value: the watchdog has already
     // given up, and a late result from an abandoned attempt must not be
     // mistaken for success.
   } else if (draw < (threshold += spec_.nan_rate)) {
-    ++injected_;
     return std::numeric_limits<double>::quiet_NaN();
   }
 
@@ -172,11 +169,9 @@ double FaultInjectingRunner::run(const apps::Application& app,
                                sample_index);
 
   if (draw >= threshold && draw < (threshold += spec_.negative_rate)) {
-    ++injected_;
     return -runtime;
   }
   if (draw >= threshold && draw < (threshold += spec_.spike_rate)) {
-    ++injected_;
     runtime *= spec_.spike_factor;
   }
 

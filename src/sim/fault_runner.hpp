@@ -137,7 +137,6 @@ class FaultInjectingRunner final : public Runner {
 
   /// Successful (non-faulted) runs forwarded so far.
   std::uint64_t completed_runs() const { return completed_; }
-  std::uint64_t injected_faults() const { return injected_; }
 
   const FaultSpec& spec() const { return spec_; }
 
@@ -145,7 +144,6 @@ class FaultInjectingRunner final : public Runner {
   Runner* inner_;
   FaultSpec spec_;
   std::uint64_t completed_ = 0;
-  std::uint64_t injected_ = 0;
   /// Attempt counters per (batch_seed, sample_index, repetition) so retries
   /// of the same sample see a fresh (but deterministic) fault draw.
   std::map<std::string, int> attempts_;

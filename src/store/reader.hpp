@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/dataset.hpp"
@@ -155,6 +156,10 @@ class StoreReader {
   std::size_t size() const { return sample_count_; }
   std::size_t repetitions() const { return reps_; }
   std::uint64_t file_bytes() const { return file_.size(); }
+  /// The store's bytes, as read (valid as long as this reader).
+  std::string_view bytes() const {
+    return {reinterpret_cast<const char*>(file_.data()), file_.size()};
+  }
 
   /// Whether the store is served from a real kernel mapping. False on the
   /// buffered-read fallback (mmap-refusing filesystems, OMPTUNE_NO_MMAP=1):

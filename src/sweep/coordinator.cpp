@@ -147,7 +147,6 @@ Coordinator::Coordinator(RunnerFactory make_runner, CoordinatorOptions options)
     throw std::invalid_argument(
         "Coordinator: --resume requires a persistent work directory");
   }
-  options_.compaction_fan_in = std::max<std::size_t>(options_.compaction_fan_in, 2);
 }
 
 const CoordinatorReport& Coordinator::run(const StudyPlan& plan,
@@ -498,12 +497,8 @@ const CoordinatorReport& Coordinator::run(const StudyPlan& plan,
   for (std::size_t i = 0; i < shard_count; ++i) {
     shard_paths.push_back(shard_store_path(i));
   }
-  store::TieredOptions tiered;
-  tiered.fan_in = options_.compaction_fan_in;
-  tiered.lenient = options_.lenient;
-  tiered.scratch_dir = util::path_join(work_dir, "compact");
-  tiered.progress = options_.progress;
-  report_.compaction = store::tiered_compact(shard_paths, store_path, tiered);
+  report_.compaction = store::compact(
+      shard_paths, store_path, {options_.lenient, options_.progress});
   report_.store_path = store_path;
 
   if (private_dir) {

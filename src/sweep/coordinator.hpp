@@ -24,9 +24,9 @@
 //   - The coordinator persists its own write-ahead state (lease table +
 //     shard status, atomic_write_file) before acting on any transition, so
 //     a coordinator killed at ANY point resumes with --resume.
-//   - Completed shard stores merge LSM-style through store/tiered with
-//     crash-safe intermediates and an atomic final publish. That store is
-//     the run's only result: the coordinator assembles no Dataset.
+//   - Completed shard stores merge in one streaming pass through
+//     store/compact, validated in memory and published atomically. That
+//     store is the run's only result: the coordinator assembles no Dataset.
 // Because per-setting RNG seeds derive from setting identity, the final
 // compacted store of a chaos-ridden, killed-and-resumed run is BYTE
 // IDENTICAL to a fault-free run's — the property the tests and CI cmp.
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "sim/fault_runner.hpp"
-#include "store/tiered.hpp"
+#include "store/compact.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/lease.hpp"
 #include "sweep/worker.hpp"
@@ -49,14 +49,15 @@ struct CoordinatorOptions {
   /// Host agent processes; clamped to the shard count.
   int hosts = 2;
   /// Shard manifests to partition the plan into; 0 = 2 * hosts. Clamped to
-  /// the number of settings. NOTE: the tier structure of the final
-  /// compaction depends only on this count, so runs that must produce
-  /// byte-identical stores must agree on it (host count is free to differ).
+  /// the number of settings. NOTE: the shard count shapes the row order of
+  /// the published store (shards merge in shard order), so runs that must
+  /// produce byte-identical stores must agree on it (host count is free to
+  /// differ).
   std::size_t shards = 0;
   /// Coordinator working directory (write-ahead state, per-shard journals
-  /// and stores, compaction scratch). Empty = private temp directory,
-  /// removed after a completed run — resumability then only spans agent
-  /// deaths, not coordinator death.
+  /// and stores). Empty = private temp directory, removed after a
+  /// completed run — resumability then only spans agent deaths, not
+  /// coordinator death.
   std::string work_dir;
   /// Resume from work_dir's write-ahead state (requires work_dir).
   bool resume = false;
@@ -77,13 +78,11 @@ struct CoordinatorOptions {
   BackoffPolicy backoff;
   /// Failed collection attempts before a shard's settings are quarantined.
   int max_shard_attempts = 5;
-  /// Let the final tiered compaction skip (and name) shard stores it cannot
+  /// Let the final compaction skip (and name) shard stores it cannot
   /// open or validate instead of aborting.
   bool lenient = false;
   /// Host-level fault injection executed inside the agents.
   sim::ChaosSpec chaos;
-  /// Shard stores merged per group per compaction tier.
-  std::size_t compaction_fan_in = 8;
   std::function<void(const std::string&)> progress;
 };
 
@@ -122,16 +121,16 @@ struct CoordinatorReport {
   /// re-synthesizes the placeholder.
   std::size_t quarantine_store_failures = 0;
   std::vector<QuarantinedShard> quarantined_shards;
-  /// Final tiered-compaction tally: samples and quarantined samples
-  /// published, and under lenient the shard stores skipped.
-  store::TieredReport compaction;
+  /// Final compaction tally: samples and quarantined samples published,
+  /// and under lenient the shard stores skipped.
+  store::CompactReport compaction;
   bool interrupted = false;          ///< stopped by signal / request_stop
   std::string work_dir;              ///< where coordinator state lives
   std::string store_path;            ///< the published compacted store
 };
 
 /// Runs a StudyPlan across a pool of forked host agents and publishes the
-/// tiered-compacted .omps store at `store_path`. Single-shot: construct,
+/// compacted .omps store at `store_path`. Single-shot: construct,
 /// run(), read report().
 class Coordinator {
  public:

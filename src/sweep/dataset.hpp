@@ -100,7 +100,7 @@ struct DedupeReport {
 };
 
 /// The one duplicate-resolution rule, applied by the store builder and so
-/// by every compaction and tiered merge: samples arrive in order, the first
+/// by every compaction and journal adoption: samples arrive in order, the first
 /// occurrence of a SampleKey takes the next position, and a later one
 /// replaces the kept occurrence only when its status_preference is
 /// strictly better (so ties keep the first). Kept samples therefore stay in

@@ -151,7 +151,19 @@ std::vector<std::string> StudyJournal::legacy_entry_files() const {
 }
 
 store::CompactReport StudyJournal::compact(const std::string& out_path) const {
-  return store::compact_journal(*this, out_path);
+  const std::vector<std::string> legacy = legacy_entry_files();
+  if (!legacy.empty()) {
+    throw util::DataCorruptionError(
+        util::path_join(directory_, legacy.front()) +
+        ": legacy CSV journal entry (written before journal entries were "
+        ".omps stores); rerun the study with --resume to recollect its "
+        "setting");
+  }
+  std::vector<std::string> entries;
+  for (const std::string& name : entry_files()) {
+    entries.push_back(util::path_join(directory_, name));
+  }
+  return store::compact(entries, out_path, {}, &StudyJournal::open_entry);
 }
 
 }  // namespace omptune::sweep

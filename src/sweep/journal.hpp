@@ -99,7 +99,7 @@ class StudyJournal {
   std::string entry_path(const std::string& key) const;
 
   /// Compact every completed entry into one .omps store file at
-  /// `out_path` (store::compact_journal): entries are concatenated in
+  /// `out_path` (store::compact): entries are concatenated in
   /// file-name order and deduplicated by measurement identity — the
   /// best-status occurrence wins (Ok over Retried over Quarantined), so a
   /// re-recorded setting never resurrects a quarantined placeholder.

@@ -14,7 +14,7 @@
 //    its shard plan. It reads only the store's setting index (metadata,
 //    no Sample is built): the store must hold exactly the shard's
 //    settings, each with its planned row count. The shard stores
-//    themselves merge through store/tiered, the one merge of the system.
+//    themselves merge through store/compact, the one merge of the system.
 
 #include <cstddef>
 #include <optional>

@@ -47,7 +47,7 @@ int consult(IoOp op, const std::string& path, int fd = -1,
 /// injected) until every byte is accepted. Throws StorageError via
 /// `operation` on failure; the caller owns fd cleanup.
 void write_all_hooked(int fd, const std::string& path,
-                      const std::string& content,
+                      std::string_view content,
                       const std::string& operation) {
   std::size_t written = 0;
   while (written < content.size()) {
@@ -105,7 +105,7 @@ bool fsync_directory(const std::string& dir) {
   return rc == 0;
 }
 
-void atomic_write_file(const std::string& path, const std::string& content) {
+void atomic_write_file(const std::string& path, std::string_view content) {
   const std::string dir = parent_dir(path);
   // The temp file must live in the same directory as the target, or the
   // final rename() could cross filesystems and lose atomicity.

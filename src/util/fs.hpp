@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace omptune::util {
@@ -23,7 +24,7 @@ namespace omptune::util {
 /// Atomically replace `path` with `content` (temp file + fsync + rename +
 /// parent-directory fsync). Throws util::StorageError on any I/O failure;
 /// on failure the previous contents of `path` (if any) are left intact.
-void atomic_write_file(const std::string& path, const std::string& content);
+void atomic_write_file(const std::string& path, std::string_view content);
 
 /// fsync the directory itself so a just-renamed/unlinked entry survives
 /// power loss, not only process death. Returns false when the filesystem

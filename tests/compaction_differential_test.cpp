@@ -1,12 +1,16 @@
-// Differential test for streaming compaction: journal compaction and
-// tiered merges feed one StoreBuilder an entry (or member store) at a time,
-// straight from its columns, and resolve duplicates as rows arrive, instead
-// of concatenating every Sample, deduping and serializing. The store bytes
-// and the report tallies must equal those of the implementation they
-// replaced — kept below verbatim (serialize_store, the string-keyed
-// Dataset::deduped, the compact_journal body and the tiered merge body;
-// only the calls between them are renamed to the copies, and the journal
-// compaction lists its own directory of CSV entries).
+// Differential test for streaming compaction: store::compact feeds one
+// StoreBuilder an input store (a journal entry or a shard store) at a time,
+// straight from its columns, and resolves duplicates as rows arrive, in one
+// merge. It replaced a journal compaction that concatenated every Sample,
+// deduped and serialized, and a tiered merge that did so in levels of
+// bounded fan-in through scratch intermediates. The store bytes and the
+// report tallies must equal those of the implementations it replaced —
+// kept below verbatim with their own option and report types
+// (serialize_store, the string-keyed Dataset::deduped, the compact_journal
+// body and the tiered merge body; only the calls between them are renamed
+// to the copies, and the journal compaction lists its own directory of CSV
+// entries). The tiered merge is compared at fan-in 2, 3 and 8 (its
+// default): tier structure never reached the bytes.
 //
 // Journal entries are .omps stores written by StudyJournal::record, which
 // publishes each batch first. The reference compacts what the journal held
@@ -20,6 +24,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -31,7 +37,6 @@
 #include "store/compact.hpp"
 #include "store/format.hpp"
 #include "store/reader.hpp"
-#include "store/tiered.hpp"
 #include "store/writer.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
@@ -336,6 +341,52 @@ Dataset reference_deduped(const Dataset& dataset, DedupeReport* report) {
   return Dataset(std::move(samples_));
 }
 
+namespace reference {
+
+/// Outcome tally of one compaction run.
+struct CompactReport {
+  std::size_t entries = 0;            ///< journal entries folded in
+  std::size_t samples_in = 0;         ///< rows read across all entries
+  std::size_t samples_out = 0;        ///< rows written to the store
+  std::size_t duplicates_dropped = 0; ///< rows dropped as duplicate identities
+  std::size_t replaced = 0;           ///< kept rows upgraded by a better status
+  std::size_t quarantined = 0;        ///< quarantined rows in the output
+};
+
+struct TieredOptions {
+  /// Stores merged per group per level. >= 2.
+  std::size_t fan_in = 8;
+  /// Skip (with a warning) inputs that cannot be opened or fail store
+  /// validation instead of aborting the compaction; each skipped input is
+  /// named in the report.
+  bool lenient = false;
+  /// Scratch directory for intermediates; empty = "<out_path>.tiers".
+  /// Created on demand, removed after successful publish unless
+  /// keep_scratch.
+  std::string scratch_dir;
+  /// Leave intermediates behind after publish (crash-resume tests).
+  bool keep_scratch = false;
+  /// Receives one progress/warning line per event. Null = silent.
+  std::function<void(const std::string&)> progress;
+};
+
+struct TieredReport {
+  std::size_t inputs = 0;               ///< input stores offered
+  std::vector<SkippedInput> skipped_inputs;  ///< inputs dropped under lenient
+  std::size_t tiers = 0;                ///< merge levels executed
+  std::size_t merges = 0;               ///< group merges executed (incl. reused)
+  std::size_t reused_intermediates = 0; ///< valid intermediates adopted as-is
+  std::size_t samples_in = 0;           ///< rows read from the input stores
+  std::size_t samples_out = 0;          ///< rows in the published store
+  std::size_t duplicates_dropped = 0;   ///< rows dropped as duplicate identities
+  std::size_t replaced = 0;             ///< kept rows upgraded by a better status
+  std::size_t quarantined = 0;          ///< quarantined rows in the output
+  /// Scratch files from previous (crashed) runs whose content hash no
+  /// longer matches any group this run — garbage-collected before publish
+  /// so repeated crash/retry cycles cannot accumulate dead intermediates.
+  std::size_t stale_intermediates_removed = 0;
+};
+
 CompactReport reference_compact_journal(const std::string& csv_dir,
                               const std::string& out_path) {
   CompactReport report;
@@ -511,6 +562,11 @@ TieredReport reference_tiered_compact(const std::vector<std::string>& inputs,
   return report;
 }
 
+}  // namespace reference
+
+using reference::reference_compact_journal;
+using reference::reference_tiered_compact;
+
 // ---- the comparisons ------------------------------------------------------
 
 std::string temp_dir(const std::string& tag) {
@@ -604,10 +660,11 @@ CompactReport expect_same_compaction(const std::string& dir,
   const sweep::StudyJournal journal(journals.journal);
   const std::string expected_path = util::path_join(dir, "reference.omps");
   const std::string actual_path = util::path_join(dir, "builder.omps");
-  const CompactReport expected =
+  const reference::CompactReport expected =
       reference_compact_journal(journals.csv, expected_path);
-  const CompactReport actual = compact_journal(journal, actual_path);
-  EXPECT_EQ(actual.entries, expected.entries);
+  const CompactReport actual = journal.compact(actual_path);
+  EXPECT_EQ(actual.inputs, expected.entries);
+  EXPECT_TRUE(actual.skipped_inputs.empty());
   EXPECT_EQ(actual.samples_in, expected.samples_in);
   EXPECT_EQ(actual.samples_out, expected.samples_out);
   EXPECT_EQ(actual.duplicates_dropped, expected.duplicates_dropped);
@@ -648,7 +705,7 @@ TEST(CompactionDifferential, MiniTableIIJournal) {
   ASSERT_EQ(first, batches.size());
 
   const CompactReport report = expect_same_compaction(dir, journals);
-  EXPECT_EQ(report.entries, 9u);
+  EXPECT_EQ(report.inputs, 9u);
   EXPECT_EQ(report.samples_out, 9u * 24u);
   std::filesystem::remove_all(dir);
 }
@@ -754,7 +811,7 @@ TEST(CompactionDifferential, OnlyAnEmptyEntry) {
   const std::string dir = temp_dir("empty");
   const CompactReport report =
       expect_same_compaction(dir, write_journal(dir, {Dataset()}));
-  EXPECT_EQ(report.entries, 1u);
+  EXPECT_EQ(report.inputs, 1u);
   EXPECT_EQ(report.samples_out, 0u);
   std::filesystem::remove_all(dir);
 }
@@ -774,7 +831,7 @@ TEST(CompactionDifferential, NamesDifferingOnlyWhereTheSlashFallsBothSurvive) {
                           Dataset(std::vector<Sample>{right})})
           .journal);
   const std::string path = util::path_join(dir, "slash.omps");
-  const CompactReport report = compact_journal(journal, path);
+  const CompactReport report = journal.compact(path);
   EXPECT_EQ(report.samples_out, 2u);
   EXPECT_EQ(report.duplicates_dropped, 0u);
   const Dataset stored = Dataset::load_store(path);
@@ -784,7 +841,7 @@ TEST(CompactionDifferential, NamesDifferingOnlyWhereTheSlashFallsBothSurvive) {
   std::filesystem::remove_all(dir);
 }
 
-// ---- tiered merges --------------------------------------------------------
+// ---- merges of stores, against the tiered merge -----------------------------
 
 /// Member stores exercising every merge rule: quarantined rows later
 /// upgraded, retried rows, a full clean pass, an empty store and an
@@ -818,48 +875,50 @@ std::vector<std::string> member_stores(const std::string& dir) {
   return paths;
 }
 
-void expect_same_tiered(const std::vector<std::string>& inputs,
-                        const std::string& dir, TieredOptions options) {
-  const std::string expected_path = util::path_join(dir, "reference.omps");
+/// Merges `inputs` with store::compact and with the reference tiered merge
+/// at each of `fan_ins`; bytes and every tally both report must agree.
+/// (`replaced` agrees on these members; in general a tiered merge can count
+/// an upgrade once per level a row is upgraded at.) Returns the one merge's
+/// report.
+CompactReport expect_same_merge(const std::vector<std::string>& inputs,
+                                const std::string& dir, bool lenient,
+                                std::initializer_list<std::size_t> fan_ins) {
   const std::string actual_path = util::path_join(dir, "builder.omps");
-  TieredOptions reference_options = options;
-  reference_options.scratch_dir = util::path_join(dir, "reference.tiers");
-  options.scratch_dir = util::path_join(dir, "builder.tiers");
-  for (int run = 0; run < 2; ++run) {  // the second run reuses intermediates
-    const TieredReport expected =
+  CompactOptions options;
+  options.lenient = lenient;
+  const CompactReport actual = compact(inputs, actual_path, options);
+  EXPECT_EQ(actual.merges, 1u);
+  for (const std::size_t fan_in : fan_ins) {
+    SCOPED_TRACE("fan_in " + std::to_string(fan_in));
+    const std::string expected_path =
+        util::path_join(dir, "reference-" + std::to_string(fan_in) + ".omps");
+    reference::TieredOptions reference_options;
+    reference_options.fan_in = fan_in;
+    reference_options.lenient = lenient;
+    reference_options.scratch_dir = util::path_join(dir, "reference.tiers");
+    const reference::TieredReport expected =
         reference_tiered_compact(inputs, expected_path, reference_options);
-    const TieredReport actual = tiered_compact(inputs, actual_path, options);
     EXPECT_EQ(actual.inputs, expected.inputs);
     EXPECT_EQ(actual.skipped_inputs, expected.skipped_inputs);
-    EXPECT_EQ(actual.tiers, expected.tiers);
-    EXPECT_EQ(actual.merges, expected.merges);
-    EXPECT_EQ(actual.reused_intermediates, expected.reused_intermediates);
     EXPECT_EQ(actual.samples_in, expected.samples_in);
     EXPECT_EQ(actual.samples_out, expected.samples_out);
     EXPECT_EQ(actual.duplicates_dropped, expected.duplicates_dropped);
     EXPECT_EQ(actual.replaced, expected.replaced);
     EXPECT_EQ(actual.quarantined, expected.quarantined);
-    EXPECT_EQ(actual.stale_intermediates_removed,
-              expected.stale_intermediates_removed);
     EXPECT_EQ(bytes_of(actual_path), bytes_of(expected_path));
-    if (run == 1 && options.keep_scratch) {
-      EXPECT_GT(actual.reused_intermediates, 0u);
-    }
   }
+  return actual;
 }
 
 TEST(TieredDifferential, MultiLevelMergeOfOverlappingMembers) {
   const std::string dir = temp_dir("tiered");
-  TieredOptions options;
-  options.fan_in = 2;
-  options.keep_scratch = true;
-  expect_same_tiered(member_stores(dir), dir, options);
+  expect_same_merge(member_stores(dir), dir, false, {2, 3});
   std::filesystem::remove_all(dir);
 }
 
 TEST(TieredDifferential, OneGroupMerge) {
   const std::string dir = temp_dir("tiered_flat");
-  expect_same_tiered(member_stores(dir), dir, TieredOptions{});
+  expect_same_merge(member_stores(dir), dir, false, {8});
   std::filesystem::remove_all(dir);
 }
 
@@ -869,10 +928,9 @@ TEST(TieredDifferential, LenientMergeSkipsACorruptInput) {
   std::string garbled = bytes_of(inputs[1]);
   garbled[garbled.size() / 2] ^= 0x5A;
   util::atomic_write_file(inputs[1], garbled);
-  TieredOptions options;
-  options.fan_in = 3;
-  options.lenient = true;
-  expect_same_tiered(inputs, dir, options);
+  const CompactReport report = expect_same_merge(inputs, dir, true, {2, 3, 8});
+  ASSERT_EQ(report.skipped_inputs.size(), 1u);
+  EXPECT_EQ(report.skipped_inputs[0].path, inputs[1]);
   std::filesystem::remove_all(dir);
 }
 

@@ -9,10 +9,10 @@
 //     run's (the property CI cmp's). Neither does a shard store that holds
 //     another shard's settings: it fails the plan check and is recollected.
 //  3. Durability: the coordinator's write-ahead lease table survives a kill
-//     mid-lease (--resume completes to the identical store), the tiered
-//     compactor survives a kill mid-compaction (intermediates are reused,
-//     torn ones rebuilt), and a SIGINT during the final compaction, or
-//     during a resume whose shards are all settled, lets it publish.
+//     mid-lease (--resume completes to the identical store), a failed
+//     strict compaction writes nothing, and a SIGINT during the final
+//     compaction, or during a resume whose shards are all settled, lets it
+//     publish.
 //  4. Evidence: a shard that kills every holder exhausts its attempt cap
 //     and quarantines with the termination signal on record, gated by
 //     deterministic decorrelated-jitter backoff. Under lenient, a
@@ -34,7 +34,7 @@
 
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
-#include "store/tiered.hpp"
+#include "store/compact.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/lease.hpp"
@@ -43,30 +43,10 @@
 #include "util/fs.hpp"
 #include "util/io_hooks.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace omptune::sweep {
 namespace {
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return util::path_join(path_, name);
-  }
-
- private:
-  std::string path_;
-};
 
 constexpr int kReps = 2;
 constexpr std::uint64_t kSeed = 5;
@@ -180,12 +160,12 @@ TEST(LeaseTable, ParseRejectsCorruptState) {
                util::DataCorruptionError);
 }
 
-// ---- tiered compaction ------------------------------------------------------
+// ---- shard-store compaction -------------------------------------------------
 
-class TieredFixture : public ::testing::Test {
+class CompactFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ = std::make_unique<ScratchDir>("tiered");
+    scratch_ = std::make_unique<ScratchDir>("compact");
     const StudyPlan plan = plan_under_test();
     for (std::size_t i = 0; i < 5; ++i) {
       sim::ModelRunner runner;
@@ -203,72 +183,51 @@ class TieredFixture : public ::testing::Test {
   std::size_t total_samples_ = 0;
 };
 
-TEST_F(TieredFixture, FanInNeverChangesTheOutputBytes) {
-  const std::string narrow = scratch_->file("narrow.omps");
-  const std::string wide = scratch_->file("wide.omps");
-  store::TieredOptions narrow_options;
-  narrow_options.fan_in = 2;  // 5 inputs: 3 levels of merging
-  const store::TieredReport narrow_report =
-      store::tiered_compact(inputs_, narrow, narrow_options);
-  store::TieredOptions wide_options;
-  wide_options.fan_in = 16;  // one flat merge
-  const store::TieredReport wide_report =
-      store::tiered_compact(inputs_, wide, wide_options);
-
-  EXPECT_GT(narrow_report.tiers, wide_report.tiers);
-  EXPECT_EQ(narrow_report.samples_in, total_samples_);
-  EXPECT_EQ(narrow_report.samples_out, total_samples_);
-  EXPECT_EQ(narrow_report.duplicates_dropped, 0u);
-  EXPECT_EQ(store_bytes(narrow), store_bytes(wide))
-      << "tier structure leaked into the output";
-}
-
-TEST_F(TieredFixture, DuplicateShardStoresDedupeToTheSingleStore) {
+TEST_F(CompactFixture, DuplicateShardStoresDedupeToTheSingleStore) {
   // The same shard delivered twice (a re-submitted batch job): the merge
   // must keep one copy and the bytes must match the non-duplicated merge.
   const std::string once = scratch_->file("once.omps");
   const std::string twice = scratch_->file("twice.omps");
-  store::tiered_compact({inputs_[0]}, once);
-  store::TieredReport report;
-  report = store::tiered_compact({inputs_[0], inputs_[0]}, twice);
+  store::compact({inputs_[0]}, once);
+  const store::CompactReport report =
+      store::compact({inputs_[0], inputs_[0]}, twice);
   EXPECT_GT(report.duplicates_dropped, 0u);
   EXPECT_EQ(store_bytes(once), store_bytes(twice));
 }
 
-TEST_F(TieredFixture, StrictModeNamesTheCorruptInput) {
+TEST_F(CompactFixture, StrictModeNamesTheCorruptInput) {
   truncate_file(inputs_[3]);
   const std::string out = scratch_->file("out.omps");
   try {
-    store::tiered_compact(inputs_, out);
+    store::compact(inputs_, out);
     FAIL() << "corrupt input must abort a strict compaction";
   } catch (const util::DataCorruptionError& error) {
     EXPECT_NE(error.file().find("in3.omps"), std::string::npos) << error.file();
   }
+  EXPECT_FALSE(util::file_exists(out));
 }
 
-TEST_F(TieredFixture, LenientModeSkipsTheCorruptInput) {
+TEST_F(CompactFixture, LenientModeSkipsTheCorruptInput) {
   const Dataset dropped = Dataset::load_store(inputs_[3]);
   truncate_file(inputs_[3]);
   const std::string out = scratch_->file("out.omps");
-  store::TieredOptions options;
+  store::CompactOptions options;
   options.lenient = true;
-  const store::TieredReport report =
-      store::tiered_compact(inputs_, out, options);
+  const store::CompactReport report = store::compact(inputs_, out, options);
   ASSERT_EQ(report.skipped_inputs.size(), 1u);
   EXPECT_EQ(report.skipped_inputs[0].path, inputs_[3]);
   EXPECT_EQ(report.samples_out, total_samples_ - dropped.size());
 }
 
-TEST_F(TieredFixture, MissingInputThrowsStrictAndIsSkippedLenient) {
+TEST_F(CompactFixture, MissingInputThrowsStrictAndIsSkippedLenient) {
   const Dataset dropped = Dataset::load_store(inputs_[2]);
   util::remove_file(inputs_[2]);
   const std::string out = scratch_->file("out.omps");
-  EXPECT_THROW(store::tiered_compact(inputs_, out), util::StoreOpenError);
+  EXPECT_THROW(store::compact(inputs_, out), util::StoreOpenError);
 
-  store::TieredOptions options;
+  store::CompactOptions options;
   options.lenient = true;
-  const store::TieredReport report =
-      store::tiered_compact(inputs_, out, options);
+  const store::CompactReport report = store::compact(inputs_, out, options);
   ASSERT_EQ(report.skipped_inputs.size(), 1u);
   EXPECT_EQ(report.skipped_inputs[0].path, inputs_[2]);
   EXPECT_NE(report.skipped_inputs[0].reason.find("cannot open store"),
@@ -276,31 +235,6 @@ TEST_F(TieredFixture, MissingInputThrowsStrictAndIsSkippedLenient) {
       << report.skipped_inputs[0].reason;
   EXPECT_EQ(report.samples_out, total_samples_ - dropped.size());
   EXPECT_EQ(Dataset::load_store(out).size(), total_samples_ - dropped.size());
-}
-
-TEST_F(TieredFixture, KillMidCompactionResumesToIdenticalBytes) {
-  const std::string out = scratch_->file("out.omps");
-  store::TieredOptions options;
-  options.fan_in = 2;
-  options.scratch_dir = scratch_->file("tiers");
-  options.keep_scratch = true;
-  store::tiered_compact(inputs_, out, options);
-  const std::string reference = store_bytes(out);
-
-  // Simulate a compactor killed after the first level: the published store
-  // is gone (never made it), one intermediate is torn mid-write, the rest
-  // survived. The re-run must adopt the valid intermediates, rebuild the
-  // torn one, and publish the identical bytes.
-  util::remove_file(out);
-  std::vector<std::string> intermediates = util::list_files(options.scratch_dir);
-  ASSERT_GT(intermediates.size(), 1u);
-  std::sort(intermediates.begin(), intermediates.end());
-  truncate_file(util::path_join(options.scratch_dir, intermediates.front()));
-
-  const store::TieredReport resumed =
-      store::tiered_compact(inputs_, out, options);
-  EXPECT_GT(resumed.reused_intermediates, 0u);
-  EXPECT_EQ(store_bytes(out), reference);
 }
 
 // ---- coordinator equivalence ------------------------------------------------
@@ -493,6 +427,24 @@ TEST(Coordinator, LyingShardStoreIsStruckAndRecollectedOnResume) {
   EXPECT_EQ(store_bytes(clean), store_bytes(out));
 }
 
+/// Raises `signal` when a file whose path starts with `prefix` is opened
+/// for writing; every operation proceeds.
+class RaiseOnOpen : public util::IoHooks {
+ public:
+  RaiseOnOpen(std::string prefix, int signal)
+      : prefix_(std::move(prefix)), signal_(signal) {}
+  int before(const util::IoSite& site) override {
+    if (site.op == util::IoOp::Open && site.path.starts_with(prefix_)) {
+      ::raise(signal_);
+    }
+    return 0;
+  }
+
+ private:
+  std::string prefix_;
+  int signal_;
+};
+
 TEST(Coordinator, SignalDuringFinalCompactionStillPublishes) {
   const StudyPlan plan = plan_under_test();
   ScratchDir scratch("coord_sigint");
@@ -503,18 +455,14 @@ TEST(Coordinator, SignalDuringFinalCompactionStillPublishes) {
 
   CoordinatorOptions options = base_options();
   options.work_dir = scratch.file("coord");
-  // A stale intermediate in the compaction scratch makes tiered_compact
-  // report before its publish; that report raises the SIGINT.
-  const std::string compact_dir = util::path_join(options.work_dir, "compact");
-  util::create_directories(compact_dir);
-  util::atomic_write_file(util::path_join(compact_dir, "stale.omps"), "stale");
-  options.progress = [](const std::string& line) {
-    if (line.starts_with("tiered: removed stale")) ::raise(SIGINT);
-  };
+  // The compaction opening the published store's temp file, just before
+  // its publish, raises the SIGINT.
+  RaiseOnOpen interrupt_publish(out + ".tmp.", SIGINT);
   // In a child: without a guard spanning the compaction, SIGINT's default
   // action kills it, and that is this test's failure, not the binary's.
   EXPECT_EXIT(
       {
+        util::ScopedIoHooks hooks(&interrupt_publish);
         Coordinator coordinator(model_factory(), options);
         const CoordinatorReport& report = coordinator.run(plan, out);
         const bool published = !report.interrupted &&

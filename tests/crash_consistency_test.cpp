@@ -45,7 +45,6 @@
 #include "sim/executor.hpp"
 #include "sim/storage_chaos.hpp"
 #include "store/compact.hpp"
-#include "store/tiered.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/journal.hpp"
@@ -369,12 +368,12 @@ Workload store_workload() {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 3: tiered compaction (content-named intermediates + atomic
-// publish + stale-intermediate GC).
+// Workload 3: store compaction (one streaming merge of 4 stores + atomic
+// publish).
 
-Workload tiered_workload() {
+Workload compact_workload() {
   Workload w;
-  w.name = "tiered";
+  w.name = "compact";
   w.setup = [](const std::string& dir) {
     util::create_directories(util::path_join(dir, "in"));
     for (std::uint64_t i = 0; i < 4; ++i) {
@@ -388,10 +387,7 @@ Workload tiered_workload() {
       inputs.push_back(
           util::path_join(dir, "in/s" + std::to_string(i) + ".omps"));
     }
-    store::TieredOptions options;
-    options.fan_in = 2;
-    store::tiered_compact(inputs, util::path_join(dir, "merged.omps"),
-                          options);
+    store::compact(inputs, util::path_join(dir, "merged.omps"));
   };
   w.recover = [w_run = w.run](const std::string& dir) {
     const std::string merged = util::path_join(dir, "merged.omps");
@@ -588,7 +584,7 @@ TEST(CrashConsistency, JournalAppendAndCompact) { torture(journal_workload()); }
 
 TEST(CrashConsistency, StoreSaveIsAtomic) { torture(store_workload()); }
 
-TEST(CrashConsistency, TieredCompaction) { torture(tiered_workload()); }
+TEST(CrashConsistency, StoreCompaction) { torture(compact_workload()); }
 
 TEST(CrashConsistency, LeaseTableWal) { torture(lease_workload()); }
 

@@ -18,27 +18,10 @@
 #include "util/mmap_file.hpp"
 #include "util/process.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace omptune {
 namespace {
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(path_);
-    util::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // ---- pipes and line assembly ------------------------------------------------
 

@@ -18,14 +18,16 @@
 #include "core/study.hpp"
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
+#include "store/compact.hpp"
 #include "store/reader.hpp"
-#include "store/tiered.hpp"
 #include "sweep/harness.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/resilience.hpp"
 #include "sweep/sharding.hpp"
 #include "util/errors.hpp"
 #include "util/fs.hpp"
+
+#include "scratch_dir.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -34,24 +36,6 @@ using arch::ArchId;
 using arch::architecture;
 
 /// Unique scratch directory per test, removed on teardown.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 std::string canonical_csv(const Dataset& dataset) {
   std::ostringstream os;
   dataset.to_csv().write(os);
@@ -64,7 +48,6 @@ StudyPlan small_plan() { return StudyPlan::mini_plan(2, 12); }
 
 TEST(AtomicWrite, ReplacesContentAtomically) {
   ScratchDir dir("atomic");
-  util::create_directories(dir.path());
   const std::string file = util::path_join(dir.path(), "x.txt");
   util::atomic_write_file(file, "first");
   EXPECT_EQ(util::read_file(file).value(), "first");
@@ -76,7 +59,6 @@ TEST(AtomicWrite, ReplacesContentAtomically) {
 
 TEST(AtomicWrite, MissingFileReadsAsNullopt) {
   ScratchDir dir("missing");
-  util::create_directories(dir.path());
   EXPECT_FALSE(util::read_file(util::path_join(dir.path(), "nope")).has_value());
 }
 
@@ -417,11 +399,10 @@ TEST(ResumableStudy, CorruptJournalEntryIsRecollected) {
 
 TEST(MergeShards, SurfacesQuarantinedSettingsInsteadOfDropping) {
   // Quarantined placeholders travel through the shard stores and their
-  // tiered merge: every setting of the plan is still in the merged store
+  // merge: every setting of the plan is still in the merged store
   // at full size, and the quarantined rows are there to be seen.
   const StudyPlan plan = StudyPlan::mini_plan(2, 6);
   ScratchDir scratch("merge_quarantine");
-  std::filesystem::create_directories(scratch.path());
 
   std::vector<std::string> shard_stores;
   std::size_t quarantined_in = 0;
@@ -445,7 +426,7 @@ TEST(MergeShards, SurfacesQuarantinedSettingsInsteadOfDropping) {
   ASSERT_GT(quarantined_in, 0u);
 
   const std::string out = util::path_join(scratch.path(), "merged.omps");
-  const store::TieredReport report = store::tiered_compact(shard_stores, out);
+  const store::CompactReport report = store::compact(shard_stores, out);
   EXPECT_EQ(report.quarantined, quarantined_in);
   EXPECT_EQ(shard_store_mismatch(plan, store::StoreReader(out)), std::nullopt);
 

@@ -35,18 +35,10 @@
 #include "util/fs.hpp"
 #include "util/process.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace omptune {
 namespace {
-
-std::string temp_dir(const std::string& tag) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("omptune_serve_" + tag + "_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-  util::create_directories(dir);
-  return dir;
-}
 
 sweep::Dataset study_dataset(std::uint64_t seed) {
   sim::ModelRunner runner;
@@ -349,7 +341,8 @@ TEST(ReplyCache, ZeroCapacityDisables) {
 // ---- snapshot --------------------------------------------------------------
 
 TEST(Snapshot, AnswersMatchOfflineAnalysis) {
-  const std::string dir = temp_dir("snapshot");
+  const ScratchDir scratch("snapshot");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   const auto snapshot = serve::Snapshot::load({store.path}, 1);
   ASSERT_EQ(snapshot->generation(), 1u);
@@ -394,7 +387,8 @@ TEST(Snapshot, AnswersMatchOfflineAnalysis) {
 }
 
 TEST(Snapshot, MultiShardMergesAndLabelsOpenFailures) {
-  const std::string dir = temp_dir("snapshot_multi");
+  const ScratchDir scratch("snapshot_multi");
+  const std::string& dir = scratch.path();
   const StoreFixture a(dir, "a.omps", 5);
   const StoreFixture b(dir, "b.omps", 9);
   const auto snapshot = serve::Snapshot::load({a.path, b.path}, 3);
@@ -427,7 +421,8 @@ void expect_same_best(const serve::BestConfig* got,
 TEST(Snapshot, MultiShardAnswersLikeOneStoreOfTheConcatenatedRows) {
   // Both shards hold the same settings, so the concatenation interleaves
   // every setting; shard b also carries quarantined placeholders.
-  const std::string dir = temp_dir("snapshot_concat");
+  const ScratchDir scratch("snapshot_concat");
+  const std::string& dir = scratch.path();
   const sweep::Dataset a = study_dataset(5);
   std::vector<sweep::Sample> b_rows = study_dataset(9).samples();
   for (std::size_t i = 1; i < b_rows.size(); i += 7) {
@@ -487,7 +482,6 @@ TEST(Snapshot, MultiShardAnswersLikeOneStoreOfTheConcatenatedRows) {
       EXPECT_EQ(got->optimal_share, want->optimal_share) << key;
     }
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---- server ----------------------------------------------------------------
@@ -500,7 +494,8 @@ serve::ServerOptions test_options(const std::string& dir) {
 }
 
 TEST(Server, BatchedQueriesStatsAndCacheHits) {
-  const std::string dir = temp_dir("server_basic");
+  const ScratchDir scratch("server_basic");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
 
@@ -561,7 +556,8 @@ TEST(Server, BatchedQueriesStatsAndCacheHits) {
 }
 
 TEST(Server, UnknownPairAnswersNotFoundNotError) {
-  const std::string dir = temp_dir("server_miss");
+  const ScratchDir scratch("server_miss");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
   serve::Client client =
@@ -576,7 +572,8 @@ TEST(Server, UnknownPairAnswersNotFoundNotError) {
 }
 
 TEST(Server, ShedsLoadBeyondAdmissionBound) {
-  const std::string dir = temp_dir("server_shed");
+  const ScratchDir scratch("server_shed");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   serve::ServerOptions options = test_options(dir);
   options.max_pending = 4;  // tiny bounded queue
@@ -606,7 +603,8 @@ TEST(Server, ShedsLoadBeyondAdmissionBound) {
 }
 
 TEST(Server, MalformedRequestGetsErrorReplyAndConnectionSurvives) {
-  const std::string dir = temp_dir("server_badreq");
+  const ScratchDir scratch("server_badreq");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
 
@@ -645,7 +643,8 @@ TEST(Server, MalformedRequestGetsErrorReplyAndConnectionSurvives) {
 }
 
 TEST(Server, OversizedFrameDropsTheConnection) {
-  const std::string dir = temp_dir("server_oversize");
+  const ScratchDir scratch("server_oversize");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
   const std::string socket_path = util::path_join(dir, "s.sock");
@@ -670,7 +669,8 @@ TEST(Server, OversizedFrameDropsTheConnection) {
 }
 
 TEST(Server, HotSwapMidLoadDropsNothing) {
-  const std::string dir = temp_dir("server_swap");
+  const ScratchDir scratch("server_swap");
+  const std::string& dir = scratch.path();
   const StoreFixture a(dir, "a.omps", 5);
   const StoreFixture b(dir, "b.omps", 9);
   TestServer ts({a.path}, test_options(dir));
@@ -725,7 +725,8 @@ TEST(Server, WireSwapBuildKeepsHeartbeatsAndOtherConnectionsFlowing) {
   // The build of a wire Swap runs off the IO thread: while it spans many
   // heartbeat intervals, the Keeper heartbeats keep coming and another
   // connection keeps getting answers, each within a few intervals.
-  const std::string dir = temp_dir("server_async_swap");
+  const ScratchDir scratch("server_async_swap");
+  const std::string& dir = scratch.path();
   const util::ScopedEnv one_lane({{"OMPTUNE_ANALYSIS_THREADS", "1"}});
   const StoreFixture store(dir, "a.omps", 5);
   const std::int64_t interval = 25;
@@ -784,11 +785,11 @@ TEST(Server, WireSwapBuildKeepsHeartbeatsAndOtherConnectionsFlowing) {
   EXPECT_LE(longest_gap(replies, begin, end), 6 * interval)
       << "the other connection stalled for the build (" << end - begin
       << " ms)";
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, StatsPipelinedBehindSwapSeesTheNewGeneration) {
-  const std::string dir = temp_dir("server_swap_order");
+  const ScratchDir scratch("server_swap_order");
+  const std::string& dir = scratch.path();
   const StoreFixture a(dir, "a.omps", 5);
   const StoreFixture b(dir, "b.omps", 9);
   TestServer ts({a.path}, test_options(dir));
@@ -812,11 +813,11 @@ TEST(Server, StatsPipelinedBehindSwapSeesTheNewGeneration) {
   EXPECT_EQ(replies[3].generation, 2u);
   ts.stop_and_join();
   EXPECT_EQ(ts.server.counters().served, 4u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, ShutdownDuringSwapBuildAnswersTheSwapAndDrains) {
-  const std::string dir = temp_dir("server_swap_shutdown");
+  const ScratchDir scratch("server_swap_shutdown");
+  const std::string& dir = scratch.path();
   const util::ScopedEnv one_lane({{"OMPTUNE_ANALYSIS_THREADS", "1"}});
   const StoreFixture store(dir, "a.omps", 5);
   const std::string slow = slow_store(dir, 600);
@@ -853,11 +854,11 @@ TEST(Server, ShutdownDuringSwapBuildAnswersTheSwapAndDrains) {
   EXPECT_EQ(counters.generation, 2u);
   EXPECT_EQ(process_threads(), serving_threads - 1)
       << "only the IO thread may be gone: no build thread or lane is left";
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, WireSwapFailureKeepsOldGeneration) {
-  const std::string dir = temp_dir("server_swapfail");
+  const ScratchDir scratch("server_swapfail");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
   serve::Client client =
@@ -884,7 +885,8 @@ TEST(Server, WireSwapFailureKeepsOldGeneration) {
 }
 
 TEST(Server, WireShutdownDrainsCleanly) {
-  const std::string dir = temp_dir("server_shutdown");
+  const ScratchDir scratch("server_shutdown");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   TestServer ts({store.path}, test_options(dir));
   serve::Client client =
@@ -902,7 +904,8 @@ TEST(Server, WireShutdownDrainsCleanly) {
 }
 
 TEST(Server, AdminMessagesCanBeDisabled) {
-  const std::string dir = temp_dir("server_noadmin");
+  const ScratchDir scratch("server_noadmin");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   serve::ServerOptions options = test_options(dir);
   options.allow_admin = false;
@@ -919,7 +922,8 @@ TEST(Server, AdminMessagesCanBeDisabled) {
 }
 
 TEST(Server, TcpListenerServesTheSameProtocol) {
-  const std::string dir = temp_dir("server_tcp");
+  const ScratchDir scratch("server_tcp");
+  const std::string& dir = scratch.path();
   const StoreFixture store(dir, "a.omps", 5);
   serve::ServerOptions options = test_options(dir);
   options.tcp_port = 0;  // ephemeral

@@ -1,6 +1,6 @@
 // Sharded collection must be invisible in the data: shards partition the
 // plan, a shard store is accepted only when its setting index holds
-// exactly its shard's settings, and the shard stores merged by the tiered
+// exactly its shard's settings, and the shard stores merged by the one
 // compaction reproduce the single-run dataset exactly (the paper's
 // cluster-batch collection, formalized).
 
@@ -16,11 +16,13 @@
 
 #include "sim/executor.hpp"
 #include "sim/fault_runner.hpp"
+#include "store/compact.hpp"
 #include "store/reader.hpp"
-#include "store/tiered.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/sharding.hpp"
 #include "util/fs.hpp"
+
+#include "scratch_dir.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -41,27 +43,6 @@ Dataset collect_shard(const StudyPlan& plan, std::size_t i, std::size_t count) {
 }
 
 /// Unique directory per test for shard stores, removed on teardown.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return util::path_join(path_, name);
-  }
-
- private:
-  std::string path_;
-};
-
 /// Save `dataset` as the store `name` in `dir`; returns its path.
 std::string write_store(const ScratchDir& dir, const std::string& name,
                         const Dataset& dataset) {
@@ -105,7 +86,7 @@ TEST(Sharding, ShardsPartitionTheSettings) {
 }
 
 TEST(Sharding, MergedShardsEqualTheUnshardedRun) {
-  // The shard stores, merged by the tiered compaction as the coordinator
+  // The shard stores, merged by the compaction as the coordinator
   // publishes them, hold exactly the single run's samples.
   const StudyPlan plan = reduced_plan();
   ScratchDir scratch("shard_equiv");
@@ -120,7 +101,7 @@ TEST(Sharding, MergedShardsEqualTheUnshardedRun) {
                                        collect_shard(plan, i, 4)));
   }
   const std::string out = scratch.file("merged.omps");
-  const store::TieredReport report = store::tiered_compact(shard_stores, out);
+  const store::CompactReport report = store::compact(shard_stores, out);
   EXPECT_EQ(report.duplicates_dropped, 0u);
   EXPECT_EQ(report.samples_out, reference.size());
 
@@ -156,12 +137,12 @@ TEST(Sharding, MergeDetectsMissingAndDedupesDuplicatedSettings) {
   const std::string other_store =
       write_store(scratch, "other.omps", collect_shard(plan, 1, 2));
   const std::string twice = scratch.file("twice.omps");
-  const store::TieredReport report =
-      store::tiered_compact({half_store, half_store, other_store}, twice);
+  const store::CompactReport report =
+      store::compact({half_store, half_store, other_store}, twice);
   EXPECT_EQ(report.duplicates_dropped, half.size());
 
   const std::string once = scratch.file("once.omps");
-  store::tiered_compact({half_store, other_store}, once);
+  store::compact({half_store, other_store}, once);
   EXPECT_EQ(file_bytes(twice), file_bytes(once));
   EXPECT_EQ(shard_store_mismatch(plan, store::StoreReader(twice)), std::nullopt);
 }
@@ -183,12 +164,12 @@ TEST(Sharding, MergePrefersOkOverQuarantinedDuplicates) {
   const std::string poisoned_store =
       write_store(scratch, "poisoned.omps", poisoned);
   const std::string clean_only = scratch.file("clean_only.omps");
-  store::tiered_compact({clean_store}, clean_only);
+  store::compact({clean_store}, clean_only);
 
   for (const auto& inputs : {std::vector<std::string>{poisoned_store, clean_store},
                              std::vector<std::string>{clean_store, poisoned_store}}) {
     const std::string out = scratch.file("merged.omps");
-    const store::TieredReport report = store::tiered_compact(inputs, out);
+    const store::CompactReport report = store::compact(inputs, out);
     EXPECT_EQ(report.duplicates_dropped, clean.size());
     EXPECT_EQ(report.quarantined, 0u);
     const Dataset merged = Dataset::load_store(out);
@@ -329,18 +310,18 @@ TEST(Sharding, CoordinatorMergeLenientSkipsWithWarning) {
                                  collect_shard(plan, i, 3)));
   }
   const std::string without = scratch.file("without.omps");
-  store::tiered_compact({inputs[0], inputs[2]}, without);
+  store::compact({inputs[0], inputs[2]}, without);
 
   const std::string torn = file_bytes(inputs[1]);
   util::atomic_write_file(inputs[1], torn.substr(0, torn.size() / 2));
-  store::TieredOptions options;
+  store::CompactOptions options;
   options.lenient = true;
   std::vector<std::string> warnings;
   options.progress = [&warnings](const std::string& line) {
     if (line.find("skipping") != std::string::npos) warnings.push_back(line);
   };
   const std::string out = scratch.file("out.omps");
-  const store::TieredReport report = store::tiered_compact(inputs, out, options);
+  const store::CompactReport report = store::compact(inputs, out, options);
   ASSERT_EQ(report.skipped_inputs.size(), 1u);
   EXPECT_EQ(report.skipped_inputs[0].path, inputs[1]);
   ASSERT_EQ(warnings.size(), 1u);
@@ -377,7 +358,7 @@ TEST(Sharding, MergeCarriesQuarantinedSamplesAndReportsThem) {
   ASSERT_GT(quarantined_in, 0u) << "fault injection produced no quarantine";
 
   const std::string out = scratch.file("merged.omps");
-  const store::TieredReport report = store::tiered_compact(inputs, out);
+  const store::CompactReport report = store::compact(inputs, out);
   const Dataset merged = Dataset::load_store(out);
   EXPECT_EQ(merged.quarantined_count(), quarantined_in);
   EXPECT_EQ(report.quarantined, quarantined_in);

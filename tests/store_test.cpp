@@ -507,7 +507,7 @@ TEST(Dedupe, CompactFoldsJournalAndDropsResurrectedPlaceholders) {
 
   const std::string path = util::path_join(dir, "study.omps");
   const store::CompactReport report = journal.compact(path);
-  EXPECT_EQ(report.entries, 2u);
+  EXPECT_EQ(report.inputs, 2u);
   EXPECT_EQ(report.samples_in, 2 * clean.size());
   EXPECT_EQ(report.samples_out, clean.size());
   EXPECT_EQ(report.duplicates_dropped, clean.size());

@@ -30,26 +30,10 @@
 #include "sweep/worker.hpp"
 #include "util/fs.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace omptune::sweep {
 namespace {
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("omptune_test_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::string canonical_csv(const Dataset& dataset) {
   std::ostringstream os;

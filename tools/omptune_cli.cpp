@@ -16,7 +16,7 @@
 //                                      workers, e.g. seed=7,kill=0.02
 //   omptune coordinate [N] <out.omps> multi-host collection: shard manifests
 //                                      leased to forked host agents, merged
-//                                      by tiered compaction (N configs per
+//                                      by one compaction (N configs per
 //                                      setting; 0 or omitted = full scale)
 //     --hosts=<N>                      host agent processes (default 2)
 //     --shards=<N>                     shard manifests (default 2*hosts);
@@ -146,7 +146,7 @@ int usage() {
       "                                    isolates faults in forked processes\n"
       "  coordinate [configs] <out.omps>   multi-host collection: shards\n"
       "        [--hosts=N] [--shards=N]    leased to forked host agents,\n"
-      "        [--dir=<dir>] [--resume]    merged by tiered compaction into\n"
+      "        [--dir=<dir>] [--resume]    merged by one compaction into\n"
       "        [--lease-ttl-ms=T]          one byte-stable .omps store\n"
       "        [--heartbeat-timeout-ms=T]\n"
       "        [--backoff-base-ms=T] [--backoff-max-ms=T]\n"
@@ -538,12 +538,10 @@ int cmd_coordinate(int argc, char** argv) {
       std::printf("  store %s: %s\n", s.path.c_str(), s.reason.c_str());
     }
   }
-  std::printf("compaction: %zu shard stores, %zu tiers, %zu merges "
-              "(%zu intermediates reused); %zu samples in, %zu stored, "
+  std::printf("compaction: %zu shard stores; %zu samples in, %zu stored, "
               "%zu duplicates dropped\n",
-              report.compaction.inputs, report.compaction.tiers,
-              report.compaction.merges, report.compaction.reused_intermediates,
-              report.compaction.samples_in, report.compaction.samples_out,
+              report.compaction.inputs, report.compaction.samples_in,
+              report.compaction.samples_out,
               report.compaction.duplicates_dropped);
   if (report.compaction.quarantined > 0) {
     std::printf("quarantined samples retained: %zu\n",
@@ -581,7 +579,7 @@ int cmd_compact(int argc, char** argv) {
     return 1;
   }
   const store::CompactReport report = journal.compact(argv[3]);
-  std::printf("compacted %zu journal entries into %s\n", report.entries, argv[3]);
+  std::printf("compacted %zu journal entries into %s\n", report.inputs, argv[3]);
   std::printf("  samples: %zu in, %zu stored\n", report.samples_in,
               report.samples_out);
   std::printf("  duplicates dropped: %zu (%zu kept rows upgraded by a better "
