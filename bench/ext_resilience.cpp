@@ -7,8 +7,8 @@
 //   journaled   guard + write-ahead journal (one atomic .omps entry per
 //               setting)
 //   supervised  StudySupervisor with --workers=1: a forked worker process,
-//               lease/heartbeat pipe protocol, per-worker journal adopted
-//               by the parent — the full isolation stack on one worker
+//               lease/heartbeat pipe protocol, entries recorded into the
+//               study journal — the full isolation stack on one worker
 //
 // Two runners frame the cost:
 //   native  real kernels through the runtime substrate — per-sample times
@@ -265,7 +265,7 @@ int main() {
   std::printf("\njournaled overhead vs bare, native collection: %.2f%% "
               "(target < 10%%)\n",
               overhead);
-  // The process-isolation stack (fork, pipes, heartbeats, journal adopt) is
+  // The process-isolation stack (fork, pipes, heartbeats, leases) is
   // measured against the single-process journaled harness, which does the
   // same persistence work — the delta is pure supervision cost.
   const double supervision =

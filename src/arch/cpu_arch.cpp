@@ -46,7 +46,6 @@ const std::vector<CpuArch>& all_architectures() {
     a64fx.ll_caches = 4;  // one L2 per CMG acts as LLC
     a64fx.mem_bw_gbs = 1024.0;
     a64fx.numa_remote_penalty = 1.35;  // HBM keeps remote penalty moderate
-    a64fx.flops_per_cycle_core = 32;   // 2x 512-bit SVE FMA
     a64fx.noise_sigma = 0.002;
     a64fx.repetition_drift = 0.0;
     a64fx.yield_latency_us = 32.0;  // 1.8 GHz in-order-ish core, slow syscall
@@ -70,7 +69,6 @@ const std::vector<CpuArch>& all_architectures() {
     skylake.ll_caches = 2;  // one shared L3 per socket
     skylake.mem_bw_gbs = 256.0;
     skylake.numa_remote_penalty = 1.7;
-    skylake.flops_per_cycle_core = 32;  // 2x AVX-512 FMA
     skylake.noise_sigma = 0.028;
     skylake.repetition_drift = 0.012;
     skylake.yield_latency_us = 20.0;
@@ -94,7 +92,6 @@ const std::vector<CpuArch>& all_architectures() {
     milan.ll_caches = 16;  // one 32 MB L3 per 6-core CCX
     milan.mem_bw_gbs = 410.0;
     milan.numa_remote_penalty = 2.1;  // NPS4 + cross-socket is expensive
-    milan.flops_per_cycle_core = 16;  // 2x AVX2 FMA
     milan.noise_sigma = 0.034;
     milan.repetition_drift = 0.02;
     milan.yield_latency_us = 12.0;

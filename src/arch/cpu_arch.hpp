@@ -42,7 +42,6 @@ struct CpuArch {
   int ll_caches = 1;           ///< number of last-level cache groups
   double mem_bw_gbs = 0;       ///< aggregate memory bandwidth (GB/s)
   double numa_remote_penalty = 1.0;  ///< remote/local access latency ratio
-  double flops_per_cycle_core = 16;  ///< peak DP FLOPs per cycle per core
 
   /// Relative run-to-run measurement noise (log-normal sigma). Calibrated so
   /// the Wilcoxon consistency results of Tables III/IV reproduce: A64FX is

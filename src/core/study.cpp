@@ -21,20 +21,6 @@ StudyResult Study::run(
   return analyze(harness.run_study(plan, progress));
 }
 
-StudyResult Study::run_supervised(const sweep::StudyPlan& plan,
-                                  const sweep::RunnerFactory& make_runner,
-                                  sweep::SupervisorOptions supervisor_options,
-                                  sweep::SupervisorReport* report,
-                                  const util::ThreadPool* pool) const {
-  supervisor_options.repetitions = options_.repetitions;
-  supervisor_options.seed = options_.seed;
-  sweep::StudySupervisor supervisor(make_runner,
-                                    std::move(supervisor_options));
-  sweep::Dataset dataset = supervisor.run(plan);
-  if (report != nullptr) *report = supervisor.report();
-  return analyze(std::move(dataset), pool);
-}
-
 StudyResult Study::analyze(sweep::Dataset dataset,
                            const util::ThreadPool* pool) const {
   const store::StoreReader image(dataset);

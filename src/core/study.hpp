@@ -14,7 +14,6 @@
 #include "sim/executor.hpp"
 #include "sweep/dataset.hpp"
 #include "sweep/harness.hpp"
-#include "sweep/supervisor.hpp"
 
 namespace omptune::store {
 class StoreReader;
@@ -56,18 +55,6 @@ class Study {
   /// Run an arbitrary plan.
   StudyResult run(const sweep::StudyPlan& plan,
                   const std::function<void(const std::string&)>& progress = {}) const;
-
-  /// Run a plan across a pool of forked worker processes: a sample that
-  /// crashes, wedges, or corrupts memory takes down one worker, never the
-  /// study (see sweep::StudySupervisor). Repetitions and seed come from
-  /// StudyOptions so supervised and single-process datasets are
-  /// interchangeable; the supervisor's report is copied into *report when
-  /// given (crash/hang/quarantine evidence, interruption state).
-  StudyResult run_supervised(const sweep::StudyPlan& plan,
-                             const sweep::RunnerFactory& make_runner,
-                             sweep::SupervisorOptions supervisor_options,
-                             sweep::SupervisorReport* report = nullptr,
-                             const util::ThreadPool* pool = nullptr) const;
 
   /// Derive all analysis artefacts from an existing dataset (e.g. loaded
   /// from the open-sourced CSV files): analyze_store over its in-memory

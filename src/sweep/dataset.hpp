@@ -100,12 +100,12 @@ struct DedupeReport {
 };
 
 /// The one duplicate-resolution rule, applied by the store builder and so
-/// by every compaction and journal adoption: samples arrive in order, the first
-/// occurrence of a SampleKey takes the next position, and a later one
-/// replaces the kept occurrence only when its status_preference is
-/// strictly better (so ties keep the first). Kept samples therefore stay in
-/// first-appearance order. An open-addressing table of positions: the keys
-/// themselves live with the caller, who reads one back through `key_at`.
+/// by every compaction: samples arrive in order, the first occurrence of a
+/// SampleKey takes the next position, and a later one replaces the kept
+/// occurrence only when its status_preference is strictly better (so ties
+/// keep the first). Kept samples therefore stay in first-appearance order.
+/// An open-addressing table of positions: the keys themselves live with the
+/// caller, who reads one back through `key_at`.
 class Deduper {
  public:
   enum class Verdict {
@@ -217,8 +217,9 @@ class Dataset {
   /// to its 6 (util::round_fixed_double); runtime lists are zero-padded to
   /// the longest, as the CSV pads them; config.num_threads becomes
   /// `threads`, and chunk and barrier, which the schema does not carry,
-  /// return to their defaults. Journal entries hold this form, so every
-  /// journaled collection publishes the same values.
+  /// return to their defaults. Collection returns every batch in this form
+  /// (SweepHarness::run_setting, quarantined_setting_dataset), so journaled,
+  /// unjournaled and supervised runs publish the same values.
   void publish();
 
   /// Serialize to the open-data CSV schema (one row per sample, one column

@@ -116,6 +116,7 @@ Dataset quarantined_setting_dataset(const arch::CpuArch& cpu,
     s.runtimes.assign(static_cast<std::size_t>(repetitions), 0.0);
     dataset.add(std::move(s));
   }
+  dataset.publish();
   return dataset;
 }
 
@@ -256,6 +257,9 @@ Dataset SweepHarness::run_setting(const arch::CpuArch& cpu,
     s.speedup = s.is_quarantined() ? 0.0 : default_mean / s.mean_runtime;
     dataset.add(std::move(s));
   }
+  // Every batch is born published: journaled or not, in this process or a
+  // worker's, collection hands on the values a store read-back holds.
+  dataset.publish();
   return dataset;
 }
 
@@ -308,11 +312,10 @@ Dataset SweepHarness::run_study(const StudyPlan& plan,
       }
       if (!resumed) {
         Dataset batch = run_setting(cpu, setting, config_count, policy);
-        // Write-ahead: persist before the study depends on the data. The
-        // record publishes the batch first, so the study goes on with what
-        // a resume would load. A journal append that fails (ENOSPC, EIO...)
-        // degrades durability — a later crash would recollect this setting
-        // — but the published batch is in memory, so the study continues.
+        // Write-ahead: persist before the study depends on the data. A
+        // journal append that fails (ENOSPC, EIO...) degrades durability —
+        // a later crash would recollect this setting — but the batch is in
+        // memory, so the study continues.
         if (journal) {
           try {
             journal->record(key, batch);

@@ -59,8 +59,8 @@ std::uint64_t setting_batch_seed(std::uint64_t study_seed,
 /// The all-quarantined placeholder dataset for a setting whose collection
 /// cannot proceed at all — e.g. one that keeps killing its worker process.
 /// Shape-compatible with run_setting's output (same configurations, sample
-/// count and CSV schema), carrying `error` as the quarantine evidence on
-/// every sample.
+/// count and CSV schema, in the published form), carrying `error` as the
+/// quarantine evidence on every sample.
 Dataset quarantined_setting_dataset(const arch::CpuArch& cpu,
                                     const StudySetting& setting,
                                     std::size_t config_count, int repetitions,
@@ -125,7 +125,8 @@ class SweepHarness {
   /// With a `policy`, failed measurements are retried and finally
   /// quarantined (status column) rather than thrown; if the setting's
   /// default configuration quarantines, the whole setting is quarantined,
-  /// since the paper's speedups are defined against that default.
+  /// since the paper's speedups are defined against that default. The
+  /// batch is returned in its published form (Dataset::publish).
   Dataset run_setting(const arch::CpuArch& cpu, const StudySetting& setting,
                       std::size_t config_count,
                       ResiliencePolicy* policy = nullptr);

@@ -84,8 +84,7 @@ bool StudyJournal::contains(const std::string& key) const {
   return util::file_exists(entry_path(key));
 }
 
-void StudyJournal::record(const std::string& key, Dataset& batch) const {
-  batch.publish();
+void StudyJournal::record(const std::string& key, const Dataset& batch) const {
   std::string image;
   try {
     image = store::serialize_store(batch);
@@ -119,23 +118,6 @@ void StudyJournal::discard(const std::string& key) const {
 bool StudyJournal::discard_legacy(const std::string& key) const {
   const std::string path = path_for(key, kLegacyExtension);
   return util::file_exists(path) && util::remove_file_durable(path);
-}
-
-void StudyJournal::adopt(const StudyJournal& other, const std::string& key) const {
-  if (!other.contains(key)) return;
-  if (!contains(key)) {
-    util::rename_file(other.entry_path(key), entry_path(key));
-    return;
-  }
-  // Both sides hold the key: merge by measurement identity, best status
-  // wins. Deterministic collection makes the common duplicate identical,
-  // but a quarantined placeholder must never shadow a clean recollection.
-  // Both entries are already in the published form.
-  store::StoreBuilder merged(store::StoreBuilder::Duplicates::Resolve);
-  merged.add(open_entry(entry_path(key)));
-  merged.add(open_entry(other.entry_path(key)));
-  util::atomic_write_file(entry_path(key), std::move(merged).finish());
-  other.discard(key);
 }
 
 store::StoreReader StudyJournal::open_entry(const std::string& path) {

@@ -8,9 +8,9 @@
 // write (util::atomic_write_file). A crash therefore loses at most the
 // in-flight setting; on resume the harness replays completed settings from
 // disk and recollects only the rest. Because per-setting RNG seeds derive
-// from the setting key (not the global sequence position), and every entry
-// holds its batch in the published form (Dataset::publish), a resumed study
-// is bit-identical to an uninterrupted one.
+// from the setting key (not the global sequence position), and every batch
+// is born in the published form (Dataset::publish), a resumed study is
+// bit-identical to an uninterrupted one.
 //
 // Layout: <dir>/<sanitized-key>-<hash16>.omps — human-greppable prefix plus
 // a stable 64-bit hash so distinct keys can never collide after
@@ -45,17 +45,14 @@ class StudyJournal {
   /// Whether a completed entry for `key` exists.
   bool contains(const std::string& key) const;
 
-  /// Put `batch` into its published form in place (Dataset::publish), then
-  /// persist it under `key` as an .omps store (atomic replace). The caller
-  /// keeps the published batch, so what it goes on to use is exactly what
-  /// a resume would load. Throws util::StorageError on a failed write —
-  /// after the batch was published — and std::invalid_argument, naming
-  /// `key` and writing nothing, on a batch no store can hold (a non-finite
-  /// runtime, mean or speedup; see store::StoreBuilder::finish).
-  void record(const std::string& key, Dataset& batch) const;
-  void record(const std::string& key, Dataset&& batch) const {
-    record(key, batch);
-  }
+  /// Persist `batch` under `key` as an .omps store (atomic replace),
+  /// exactly as given: collection publishes every batch where it is made
+  /// (SweepHarness::run_setting, quarantined_setting_dataset), so what the
+  /// caller goes on to use is what a resume would load. Throws
+  /// util::StorageError on a failed write, and std::invalid_argument,
+  /// naming `key` and writing nothing, on a batch no store can hold (a
+  /// non-finite runtime, mean or speedup; see store::StoreBuilder::finish).
+  void record(const std::string& key, const Dataset& batch) const;
 
   /// Load the entry for `key`. `expected_samples` > 0 additionally asserts
   /// the stored sample count. Throws util::DataCorruptionError on a
@@ -70,23 +67,12 @@ class StudyJournal {
   /// whether one was removed. Its setting must then be recollected.
   bool discard_legacy(const std::string& key) const;
 
-  /// Move `key`'s entry from `other` into this journal. On the common path
-  /// (no local entry yet) this is a metadata-only rename(2) plus directory
-  /// fsyncs — no read, no rewrite — which is what keeps the process
-  /// supervisor's per-worker-journal promotion cheap. If BOTH journals hold
-  /// the key (a reassigned shard whose original worker did finish), the two
-  /// entries are merged row by row through a store::StoreBuilder under the
-  /// Ok > Retried > Quarantined dedupe instead, so a clean recollection
-  /// never loses to a quarantined placeholder. No-op when `other` has no
-  /// entry for `key`.
-  void adopt(const StudyJournal& other, const std::string& key) const;
-
   /// Open the entry (or any journal-written store) at `path`, reading it
   /// into memory rather than mapping it: an entry shrunk under a mapping
   /// would raise SIGBUS instead of a typed error. Every store check runs.
   /// A file that cannot be opened or read throws util::DataCorruptionError
   /// naming `path`, like one that fails validation, so every reader of an
-  /// entry (load, adopt, compaction) handles one error type.
+  /// entry (load, compaction) handles one error type.
   static store::StoreReader open_entry(const std::string& path);
 
   /// File names of the completed entries, sorted.

@@ -21,6 +21,12 @@ namespace {
 
 enum class TaskState { Queued, Done };
 
+/// Settings per lease: enough to amortize a round trip, few enough that a
+/// reclaimed lease rebalances quickly.
+constexpr std::size_t kSettingsPerLease = 2;
+/// Wall-clock budget of a lease, renewed on every completed setting.
+constexpr std::int64_t kLeaseMs = 300000;
+
 [[noreturn]] void apply_chaos(sim::ChaosAction action, int result_fd) {
   switch (action) {
     case sim::ChaosAction::Kill:
@@ -47,14 +53,15 @@ enum class TaskState { Queued, Done };
   ::_exit(13);
 }
 
-/// The setting worker: measures each leased setting and journals it into
-/// its private journal BEFORE `done` — the report is a promise that the
-/// entry is durably on disk.
-void collect_settings(LeaseLink& link, const std::string& journal_dir,
+/// The setting worker: measures each leased setting and records it into
+/// the study journal BEFORE `done` — the report is a promise that the entry
+/// is durably on disk. `journal` is the supervisor's, inherited through
+/// fork: a worker must not build its own, whose constructor would sweep a
+/// sibling's in-flight temp file.
+void collect_settings(LeaseLink& link, const StudyJournal& journal,
                       const std::vector<SettingTask>& tasks,
                       const SupervisorOptions& options,
                       const RunnerFactory& make_runner) {
-  StudyJournal journal(journal_dir);
   const std::unique_ptr<sim::Runner> runner = make_runner();
   SweepHarness harness(*runner, options.repetitions, options.seed);
   std::unique_ptr<ResiliencePolicy> policy;
@@ -75,7 +82,7 @@ void collect_settings(LeaseLink& link, const std::string& journal_dir,
     current = &item;
     samples_in_setting = 0;
     const SettingTask& task = tasks[item.task_index];
-    Dataset batch =
+    const Dataset batch =
         harness.run_setting(arch::architecture(task.arch), task.setting,
                             task.config_count, policy.get());
     journal.record(task.key, batch);
@@ -94,7 +101,6 @@ StudySupervisor::StudySupervisor(RunnerFactory make_runner,
   if (options_.workers < 1) {
     throw std::invalid_argument("StudySupervisor: workers must be >= 1");
   }
-  if (options_.shard_size == 0) options_.shard_size = 1;
 }
 
 Dataset StudySupervisor::run(const StudyPlan& plan) {
@@ -113,29 +119,13 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   const bool private_dir = journal_dir.empty();
   if (private_dir) journal_dir = make_private_temp_dir("supervisor");
   report_.journal_dir = journal_dir;
-  StudyJournal journal(journal_dir);
-  const std::string workers_root = util::path_join(journal_dir, "workers");
-  util::create_directories(workers_root);
+  // Built once, before the first fork: its constructor sweeps stale temp
+  // files, which must never race a worker's write.
+  const StudyJournal journal(journal_dir);
 
   const auto say = [&](const std::string& message) {
     if (options_.progress) options_.progress(message);
   };
-
-  // -- startup: reconcile leftovers of a previous (possibly killed) run -------
-  // A worker SIGKILLed between journal.record and its `done` report leaves a
-  // completed entry in its private directory; on resume that work is adopted,
-  // otherwise every stale entry is cleared so it can never pollute this run.
-  for (const std::string& sub : list_subdirs(workers_root)) {
-    const StudyJournal leftover(util::path_join(workers_root, sub));
-    for (const SettingTask& task : tasks) {
-      if (!leftover.contains(task.key)) continue;
-      if (options_.resume) {
-        journal.adopt(leftover, task.key);
-      } else {
-        leftover.discard(task.key);
-      }
-    }
-  }
 
   std::vector<TaskState> state(tasks.size(), TaskState::Queued);
   std::vector<int> crashes(tasks.size(), 0);
@@ -174,10 +164,10 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
     const SettingTask& task = tasks[idx];
     const std::string full = "crashed " + std::to_string(crashes[idx]) +
                              " worker processes; last evidence: " + evidence;
-    Dataset placeholder = quarantined_setting_dataset(
-        arch::architecture(task.arch), task.setting, task.config_count,
-        options_.repetitions, options_.seed, full);
-    journal.record(task.key, placeholder);
+    journal.record(task.key, quarantined_setting_dataset(
+                                 arch::architecture(task.arch), task.setting,
+                                 task.config_count, options_.repetitions,
+                                 options_.seed, full));
     mark_done(idx);
     report_.quarantined_settings.push_back(
         SupervisedQuarantine{task.key, crashes[idx], evidence});
@@ -185,18 +175,8 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   };
 
   // -- worker fleet -----------------------------------------------------------
-  const auto worker_dir = [&](int slot) {
-    return util::path_join(workers_root,
-                           std::string("w").append(std::to_string(slot)));
-  };
-  // Parent-side worker journals exist (directory created, stale temp files
-  // cleared) BEFORE any fork, so cleanup can never race a child's write.
   const int workers = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(options_.workers), queue.size()));
-  std::vector<std::unique_ptr<StudyJournal>> worker_journals;
-  for (int slot = 0; slot < workers; ++slot) {
-    worker_journals.push_back(std::make_unique<StudyJournal>(worker_dir(slot)));
-  }
 
   FleetOptions fleet_options;
   fleet_options.name = "StudySupervisor";
@@ -206,17 +186,17 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   fleet_options.item_count = tasks.size();
   fleet_options.heartbeat_timeout_ms = options_.heartbeat_timeout_ms;
   fleet_options.heartbeat_interval_ms = options_.heartbeat_interval_ms;
-  fleet_options.lease_ms = options_.lease_ms;
+  fleet_options.lease_ms = kLeaseMs;
   fleet_options.respawn_backoff = options_.respawn_backoff;
   fleet_options.seed = options_.seed;
 
   FleetHooks hooks;
-  hooks.child_main = [&](int slot, LeaseLink& link) {
-    collect_settings(link, worker_dir(slot), tasks, options_, make_runner_);
+  hooks.child_main = [&](int, LeaseLink& link) {
+    collect_settings(link, journal, tasks, options_, make_runner_);
   };
   hooks.next_lease = [&](int) {
     std::vector<protocol::LeaseItem> items;
-    while (!queue.empty() && items.size() < options_.shard_size) {
+    while (!queue.empty() && items.size() < kSettingsPerLease) {
       const std::size_t idx = queue.front();
       queue.pop_front();
       if (state[idx] != TaskState::Done) {
@@ -226,25 +206,21 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
     return items;
   };
   hooks.on_done = [&](int slot, std::size_t idx, std::uint64_t count) {
-    journal.adopt(*worker_journals[static_cast<std::size_t>(slot)],
-                  tasks[idx].key);
     if (state[idx] != TaskState::Done) mark_done(idx);
     say(tasks[idx].key + " -> " + std::to_string(count) + " samples (w" +
         std::to_string(slot) + ")");
   };
   hooks.on_death = [&](const FleetDeath& death) {
-    // Salvage before blame: the worker's journal may hold a completed entry
-    // whose `done` never made it out (killed between record and report).
-    // Only the in-flight setting of an unclean death is charged; the
-    // untouched rest of the lease goes back to the queue without a strike.
-    const StudyJournal& own =
-        *worker_journals[static_cast<std::size_t>(death.slot)];
+    // Salvage before blame: the journal may hold an entry the worker
+    // recorded but whose `done` never made it out (killed between record
+    // and report). Only the in-flight setting of an unclean death is
+    // charged; the untouched rest of the lease goes back to the queue
+    // without a strike.
     std::optional<std::size_t> blamed;
     std::vector<std::size_t> requeue;
     for (const std::size_t idx : death.leased) {
       if (state[idx] == TaskState::Done) continue;
-      if (own.contains(tasks[idx].key)) {
-        journal.adopt(own, tasks[idx].key);
+      if (journal.contains(tasks[idx].key)) {
         mark_done(idx);
         say(tasks[idx].key + " salvaged from dead worker w" +
             std::to_string(death.slot));
@@ -290,6 +266,9 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
   report_.respawns = counters.respawns;
   report_.respawn_waits = counters.respawn_waits;
   report_.respawn_backoff_ms = counters.respawn_backoff_ms;
+  // Every child is reaped: a temp file left now belongs to a worker killed
+  // mid-write and can never be renamed into an entry.
+  util::remove_stale_temp_files(journal_dir);
 
   // -- assembly ---------------------------------------------------------------
   // Tasks are loaded in flatten_plan order — the single-process run_study
@@ -304,17 +283,9 @@ Dataset StudySupervisor::run(const StudyPlan& plan) {
 
   if (report_.interrupted) {
     say("resume with --journal=" + journal_dir + " --resume");
-  } else {
-    // Worker directories are empty after adoption; clear the scaffolding so
-    // a completed journal holds exactly one entry per setting.
-    for (const std::string& sub : list_subdirs(workers_root)) {
-      remove_flat_dir(util::path_join(workers_root, sub));
-    }
-    ::rmdir(workers_root.c_str());
-    if (private_dir) {
-      remove_flat_dir(journal_dir);
-      report_.journal_dir.clear();
-    }
+  } else if (private_dir) {
+    remove_flat_dir(journal_dir);
+    report_.journal_dir.clear();
   }
   return dataset;
 }

@@ -5,19 +5,19 @@
 // The single-process harness executes every sample in its own address
 // space, so one crashing or wedged sample kills the whole journaled study.
 // StudySupervisor contains faults at the process boundary instead: it
-// leases shards of the plan's settings to a fleet of forked workers
+// leases the plan's settings, two at a time, to a fleet of forked workers
 // (sweep/fleet.hpp owns fork, heartbeats, lease deadlines, kills, reaping
 // and respawn pacing) and keeps only the setting policy. A dead worker's
 // in-flight setting is charged a crash; a setting whose collection has
 // crashed max_setting_crashes workers is declared poisonous and quarantined
 // with its evidence (signal number, timeout) recorded on every placeholder
 // sample, so the study still completes and the report says why the data is
-// missing. Completed settings travel through per-worker crash-safe journals
-// that the supervisor adopts into the main journal (a same-filesystem
-// rename) the moment `done` arrives — the study is therefore resumable
-// across supervisor death exactly like the single-process journaled run,
-// and the assembled dataset is byte-identical to an undisturbed one:
-// process death can duplicate work, never samples.
+// missing. Workers record completed settings straight into the study
+// journal (an atomic write, before `done`): the one StudyJournal the
+// supervisor builds before the first fork and every worker inherits. The
+// study is therefore resumable across supervisor death exactly like the
+// single-process journaled run, and the assembled dataset is byte-identical
+// to an undisturbed one: process death can duplicate work, never samples.
 //
 // SIGINT/SIGTERM drain gracefully: leases stop, workers finish their
 // in-flight setting and exit, journals are already flushed (write-ahead),
@@ -57,12 +57,6 @@ struct SupervisorOptions {
   /// How often workers emit progress heartbeats (throttle, not a timer:
   /// heartbeats ride on sample completion).
   std::int64_t heartbeat_interval_ms = 25;
-  /// Wall-clock budget for one leased shard, renewed on every completed
-  /// setting. 0 disables lease expiry.
-  std::int64_t lease_ms = 300000;
-  /// Settings per lease. Larger shards amortize supervisor round-trips;
-  /// smaller shards rebalance faster after a reclaim.
-  std::size_t shard_size = 2;
   /// Crashes a single setting may cause before it is quarantined as
   /// poisonous. Raise for chaos/identity runs where kills are environmental
   /// and no setting is actually at fault.

@@ -12,8 +12,8 @@
 // entries). The tiered merge is compared at fan-in 2, 3 and 8 (its
 // default): tier structure never reached the bytes.
 //
-// Journal entries are .omps stores written by StudyJournal::record, which
-// publishes each batch first. The reference compacts what the journal held
+// Journal entries are .omps stores of published batches, written by
+// StudyJournal::record. The reference compacts what the journal held
 // before: the same batches' csv_text, one CSV file per entry. Equal bytes
 // therefore also prove that the published form is the CSV read-back.
 
@@ -647,6 +647,7 @@ Journals write_journal(const std::string& dir,
     std::snprintf(key, sizeof key, "entry-%03zu", i);
     write_csv_entry(journal, out.csv, key, entries[i]);
     Dataset batch = entries[i];
+    batch.publish();
     journal.record(key, batch);
   }
   return out;

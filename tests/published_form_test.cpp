@@ -3,7 +3,7 @@
 // what a CSV entry read back as: util::round_fixed_double against
 // write_fixed_double -> parse_double, and publish() against
 // from_csv_text(csv_text()), field for field with bit-exact doubles. A
-// journaled study must then publish the same bytes however it ran:
+// study must then publish the same bytes however it ran: unjournaled,
 // uninterrupted, resumed, or by worker processes. Journals written with
 // CSV entries fail loudly or are recollected, never silently skipped.
 
@@ -184,7 +184,7 @@ void expect_same_sample(const Sample& a, const Sample& b, std::size_t row) {
 }
 
 /// publish(batch) must equal from_csv_text(batch.csv_text()), and the
-/// journal must hand the published batch back unchanged.
+/// journal must hand a recorded published batch back unchanged.
 void expect_publishes_like_csv(const Dataset& batch) {
   const Dataset read_back = Dataset::from_csv_text(batch.csv_text());
   Dataset published = batch;
@@ -200,9 +200,7 @@ void expect_publishes_like_csv(const Dataset& batch) {
 
   const std::string dir = temp_dir("roundtrip");
   const sweep::StudyJournal journal(dir);
-  Dataset recorded = batch;
-  journal.record("batch", recorded);
-  EXPECT_EQ(store::serialize_store(recorded), store::serialize_store(published));
+  journal.record("batch", published);
   const Dataset loaded = journal.load("batch", batch.size());
   ASSERT_EQ(loaded.size(), read_back.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
@@ -282,9 +280,10 @@ TEST(PublishedForm, ErrorTextWithANewlineSurvivesWhereTheCsvCouldNot) {
 
   const std::string dir = temp_dir("newline");
   const sweep::StudyJournal journal(dir);
-  Dataset recorded = batch;
-  journal.record("batch", recorded);
-  EXPECT_EQ(recorded.samples()[2].error, batch.samples()[2].error);
+  Dataset published = batch;
+  published.publish();
+  EXPECT_EQ(published.samples()[2].error, batch.samples()[2].error);
+  journal.record("batch", published);
   EXPECT_EQ(journal.load("batch").samples()[2].error, batch.samples()[2].error);
   std::filesystem::remove_all(dir);
 }
@@ -368,6 +367,17 @@ TEST(JournaledStudy, ResumedRunPublishesTheUninterruptedBytes) {
   sweep::StudySupervisor supervisor(
       [] { return std::make_unique<sim::ModelRunner>(); }, options);
   EXPECT_EQ(store::serialize_store(supervisor.run(resume_plan())), uninterrupted);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JournaledStudy, AnUnjournaledRunPublishesTheJournaledBytes) {
+  // Batches are born published, so a study that journals nothing, and runs
+  // no resilience policy, still hands on the bytes a journaled run does.
+  const std::string dir = temp_dir("unjournaled");
+  sim::ModelRunner runner;
+  sweep::SweepHarness harness(runner, kReps, kSeed);
+  EXPECT_EQ(store::serialize_store(harness.run_study(resume_plan())),
+            journaled_study_store(util::path_join(dir, "j"), false));
   std::filesystem::remove_all(dir);
 }
 

@@ -4,8 +4,8 @@
 //     CSV-canonical identical dataset to the single-process harness.
 //  2. Containment: workers SIGKILLed, segfaulting, wedged, or writing
 //     protocol garbage at deterministic chaos points never lose or
-//     duplicate completed samples — the compacted store is byte-identical
-//     to an undisturbed run's.
+//     duplicate completed samples — the journal holds exactly an
+//     undisturbed run's entry files, and compacts to its bytes.
 //  3. Evidence: a setting that keeps killing its workers is quarantined
 //     with the termination signal recorded, and the study still completes.
 //  4. Drain/resume: an interrupted supervised study resumes from its
@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -29,6 +31,7 @@
 #include "sweep/supervisor.hpp"
 #include "sweep/worker.hpp"
 #include "util/fs.hpp"
+#include "util/io_hooks.hpp"
 
 #include "scratch_dir.hpp"
 
@@ -56,6 +59,37 @@ std::string reference_csv(const StudyPlan& plan) {
 
 RunnerFactory model_factory() {
   return [] { return std::make_unique<sim::ModelRunner>(); };
+}
+
+/// SIGKILLs the first worker process that reaches `op`, and only the first:
+/// the marker file, created exclusively, is shared by every forked worker.
+/// The process that built the hook (the supervisor) is never killed.
+class KillFirstWorkerAt : public util::IoHooks {
+ public:
+  KillFirstWorkerAt(util::IoOp op, std::string marker)
+      : op_(op), marker_(std::move(marker)), supervisor_(::getpid()) {}
+  int before(const util::IoSite& site) override {
+    if (site.op == op_ && ::getpid() != supervisor_ &&
+        ::open(marker_.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644) >= 0) {
+      ::raise(SIGKILL);
+    }
+    return 0;
+  }
+
+ private:
+  util::IoOp op_;
+  std::string marker_;
+  pid_t supervisor_;
+};
+
+/// Sorted names of everything directly inside `dir`.
+std::vector<std::string> directory_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 SupervisorOptions base_options() {
@@ -145,13 +179,11 @@ TEST(Supervisor, ChaosKillsAreContainedAndDatasetIdentical) {
   EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
 }
 
-TEST(Supervisor, ChaosKillCompactedStoreIsByteIdentical) {
+TEST(Supervisor, ChaosKillLeavesExactlyTheSingleProcessJournal) {
   const StudyPlan plan = plan_under_test();
-  ScratchDir scratch("sup_compact");
-  const std::string ref_dir = util::path_join(scratch.path(), "ref_journal");
-  const std::string sup_dir = util::path_join(scratch.path(), "sup_journal");
-  const std::string ref_store = util::path_join(scratch.path(), "ref.omps");
-  const std::string sup_store = util::path_join(scratch.path(), "sup.omps");
+  ScratchDir scratch("sup_journal");
+  const std::string ref_dir = scratch.file("ref_journal");
+  const std::string sup_dir = scratch.file("sup_journal");
 
   // Undisturbed single-process journaled run.
   {
@@ -161,28 +193,39 @@ TEST(Supervisor, ChaosKillCompactedStoreIsByteIdentical) {
     run_options.journal_dir = ref_dir;
     run_options.resilient = true;
     harness.run_study(plan, run_options);
-    StudyJournal(ref_dir).compact(ref_store);
   }
 
-  // Supervised run with workers SIGKILLed at deterministic chaos points.
+  // Supervised run with workers SIGKILLed at deterministic chaos points,
+  // which land mid-measurement; one more worker dies mid-write and leaves
+  // its temp file for the supervisor's final sweep.
   SupervisorOptions options = base_options();
   options.workers = 4;
   options.journal_dir = sup_dir;
   options.chaos = sim::ChaosSpec::parse("seed=3,kill=0.03");
   options.max_setting_crashes = 1000;
+  KillFirstWorkerAt torn(util::IoOp::Write, scratch.file("torn"));
   StudySupervisor supervisor(model_factory(), options);
-  supervisor.run(plan);
-  ASSERT_GT(supervisor.report().worker_crashes, 0u);
-  StudyJournal(sup_dir).compact(sup_store);
+  {
+    util::ScopedIoHooks hooks(&torn);
+    supervisor.run(plan);
+  }
+  ASSERT_GT(supervisor.report().worker_crashes, 1u);
 
   // SIGKILL at any point must never lose or duplicate a completed sample.
-  const auto ref_bytes = util::read_file(ref_store);
-  const auto sup_bytes = util::read_file(sup_store);
-  ASSERT_TRUE(ref_bytes.has_value());
-  ASSERT_TRUE(sup_bytes.has_value());
-  EXPECT_TRUE(*ref_bytes == *sup_bytes)
-      << "compacted stores differ (" << ref_bytes->size() << " vs "
-      << sup_bytes->size() << " bytes)";
+  // Every name in the directory counts (files and subdirectories alike):
+  // no `workers/`, no `*.tmp.*`, one entry per setting, each byte-identical.
+  const std::vector<std::string> names = directory_names(sup_dir);
+  EXPECT_EQ(names, directory_names(ref_dir));
+  for (const std::string& name : names) {
+    EXPECT_EQ(util::read_file(util::path_join(sup_dir, name)),
+              util::read_file(util::path_join(ref_dir, name)))
+        << name;
+  }
+  const std::string ref_store = scratch.file("ref.omps");
+  const std::string sup_store = scratch.file("sup.omps");
+  StudyJournal(ref_dir).compact(ref_store);
+  StudyJournal(sup_dir).compact(sup_store);
+  EXPECT_EQ(util::read_file(ref_store), util::read_file(sup_store));
 }
 
 TEST(Supervisor, WedgedWorkerIsDetectedByMissedHeartbeats) {
@@ -272,7 +315,6 @@ TEST(Supervisor, RequestStopDrainsAndResumeCompletesIdentically) {
 
   SupervisorOptions options = base_options();
   options.workers = 2;
-  options.shard_size = 1;
   options.journal_dir = journal_dir;
   StudySupervisor* target = nullptr;
   options.progress = [&target](const std::string& message) {
@@ -302,33 +344,32 @@ TEST(Supervisor, RequestStopDrainsAndResumeCompletesIdentically) {
   EXPECT_EQ(canonical_csv(completed), reference_csv(plan));
 }
 
-TEST(Supervisor, AdoptsEntriesRecordedByWorkersKilledBeforeReporting) {
-  // A worker SIGKILLed between journal.record and its `done` report leaves
-  // the completed entry in its private directory; a resumed supervisor must
-  // adopt it instead of recollecting (or worse, losing) it.
+TEST(Supervisor, SalvagesEntriesRecordedByWorkersKilledBeforeReporting) {
+  // A worker SIGKILLed between journal.record and its `done` report has
+  // already put the completed entry in the study journal: the supervisor
+  // must count it done instead of blaming (and recollecting) its setting.
   const StudyPlan plan = plan_under_test();
   ScratchDir scratch("sup_salvage");
-  const std::string journal_dir = util::path_join(scratch.path(), "journal");
-  const std::vector<SettingTask> tasks = flatten_plan(plan);
-
-  {
-    sim::ModelRunner runner;
-    SweepHarness harness(runner, kReps, kSeed);
-    const StudyJournal stranded(
-        util::path_join(util::path_join(journal_dir, "workers"), "w0"));
-    const arch::CpuArch& cpu = arch::architecture(tasks[0].arch);
-    stranded.record(tasks[0].key,
-                    harness.run_setting(cpu, tasks[0].setting,
-                                        tasks[0].config_count));
-  }
-
   SupervisorOptions options = base_options();
   options.workers = 2;
-  options.journal_dir = journal_dir;
-  options.resume = true;
+  options.journal_dir = scratch.file("journal");
+  std::size_t salvaged = 0;
+  options.progress = [&salvaged](const std::string& message) {
+    if (message.find(" salvaged from dead worker ") != std::string::npos) {
+      ++salvaged;
+    }
+  };
+  // The directory fsync after an entry's rename: the entry is in place,
+  // its `done` not yet sent.
+  KillFirstWorkerAt kill(util::IoOp::FsyncDir, scratch.file("killed"));
   StudySupervisor supervisor(model_factory(), options);
-  const Dataset dataset = supervisor.run(plan);
-  EXPECT_GE(supervisor.report().settings_resumed, 1u);
+  Dataset dataset;
+  {
+    util::ScopedIoHooks hooks(&kill);
+    dataset = supervisor.run(plan);
+  }
+  EXPECT_EQ(supervisor.report().worker_crashes, 1u);
+  EXPECT_EQ(salvaged, 1u);
   EXPECT_EQ(canonical_csv(dataset), reference_csv(plan));
 }
 

@@ -16,6 +16,7 @@
 #include "sweep/harness.hpp"
 #include "util/mmap_file.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace omptune::sweep {
 namespace {
@@ -149,7 +150,13 @@ TEST(SweepHarness, SettingProducesEnrichedSamples) {
     ASSERT_EQ(s.runtimes.size(), 3u);
     EXPECT_GT(s.mean_runtime, 0.0);
     EXPECT_DOUBLE_EQ(s.default_runtime, first.mean_runtime);
-    EXPECT_NEAR(s.speedup, s.default_runtime / s.mean_runtime, 1e-12);
+    // The batch is published: speedup is the full-precision ratio rounded
+    // to 6 decimals, and the means it was taken from are then rounded to 9.
+    EXPECT_EQ(s.speedup, util::round_fixed_double(s.speedup, 6));
+    const double ratio = s.default_runtime / s.mean_runtime;
+    const double rounding =
+        5e-7 + ratio * (5e-10 / s.default_runtime + 5e-10 / s.mean_runtime);
+    EXPECT_NEAR(s.speedup, ratio, 1.001 * rounding);
     if (s.speedup > 1.01) ++better;
   }
   // XSBench on Milan has substantial tuning headroom.

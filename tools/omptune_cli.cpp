@@ -114,6 +114,7 @@
 #include "store/reader.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/journal.hpp"
+#include "sweep/supervisor.hpp"
 #include "util/env.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -359,10 +360,11 @@ int cmd_study(int argc, char** argv) {
     if (max_setting_crashes > 0) {
       supervisor_options.max_setting_crashes = max_setting_crashes;
     }
-    sweep::SupervisorReport report;
-    result = study.run_supervised(
-        plan, [] { return std::make_unique<sim::ModelRunner>(); },
-        supervisor_options, &report, &pool);
+    sweep::StudySupervisor supervisor(
+        [] { return std::make_unique<sim::ModelRunner>(); },
+        std::move(supervisor_options));
+    result = study.analyze(supervisor.run(plan), &pool);
+    const sweep::SupervisorReport& report = supervisor.report();
     std::printf("collected %zu samples across %d worker processes\n",
                 result.dataset.size(), workers);
     if (report.worker_crashes + report.hang_kills + report.lease_expiries +
