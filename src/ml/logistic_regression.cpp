@@ -1,6 +1,7 @@
 #include "ml/logistic_regression.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +35,44 @@ const double* ones() {
   return column.data();
 }
 
+/// |z| at which sigmoid clamps its exp argument: e^-708 is still a normal
+/// double, so the 2^k that exp_nonpositive builds stays a normal power.
+constexpr double kExpClamp = 708.0;
+
+/// 1/n! for n = 0..13: e^r's Taylor coefficients, Horner's from the top.
+constexpr auto kInvFactorial = [] {
+  std::array<double, 14> c{};
+  double factorial = 1.0;
+  for (std::size_t n = 0; n < c.size(); ++n) {
+    if (n > 0) factorial *= static_cast<double>(n);
+    c[n] = 1.0 / factorial;
+  }
+  return c;
+}();
+
+/// e^x for x in [-kExpClamp, 0] (NaN stays NaN), from plain IEEE + - * and
+/// bit casts only, so a vector lane computes the bits a scalar call does.
+/// x = k ln2 + r: k is rounded by the shifter and ln2 is split hi/lo
+/// (Cody-Waite; k * kLn2Hi is exact), e^r is its degree-13 Taylor
+/// polynomial on |r| <= ln2/2 (truncation below 1e-17), and 2^k is built
+/// from its exponent bits. Multiplying by the exact power gives the bits
+/// that adding k to p's exponent would, and keeps a NaN p a NaN.
+double exp_nonpositive(double x) {
+  constexpr double kShifter = 0x1.8p52;  // x + kShifter rounds x to integer
+  constexpr double kLog2e = 0x1.71547652b82fep0;
+  constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  const double shifted = x * kLog2e + kShifter;
+  const double k = shifted - kShifter;
+  const double r = (x - k * kLn2Hi) - k * kLn2Lo;
+  double p = kInvFactorial[13];
+  for (std::size_t n = 13; n-- > 0;) p = p * r + kInvFactorial[n];
+  // k as a two's-complement integer in the shifted value's low bits.
+  const std::uint64_t k_bits = std::bit_cast<std::uint64_t>(shifted) -
+                               std::bit_cast<std::uint64_t>(kShifter);
+  return p * std::bit_cast<double>((k_bits + 1023) << 52);
+}
+
 /// z = intercept + sum_c coef[c] * x[c] for every row of one chunk, each
 /// row's terms added in ascending column order (vectorised across rows).
 void chunk_logits(const ColumnBlocks& x, std::size_t chunk, const double* coef,
@@ -62,6 +101,18 @@ void column_sums(const double* err, const double* const* cols,
 
 /// One tile of an epoch: the partial gradients of one chunk (d feature
 /// sums, then the intercept's), accumulated in locals and written once.
+/// On x86-64 it is compiled twice, for the build's target and for AVX2, and
+/// the loader picks one per host; flatten inlines every callee, so the AVX2
+/// clone runs AVX2 code throughout. Both compute the same bits: every
+/// vector lane runs the scalar code's operations in its order, and FP
+/// contraction is off (see src/CMakeLists.txt), so no build fuses a
+/// multiply-add. ThreadSanitizer builds keep one version: TSan instruments
+/// the clone resolver, which the loader runs before TSan's runtime is set
+/// up, and the program crashes at start.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+__attribute__((flatten))
 void tile_partials(const ColumnBlocks& x, const int* y, std::size_t chunk,
                    const double* coef, double intercept, double* out) {
   const std::size_t len = x.chunk_rows(chunk);
@@ -101,13 +152,14 @@ void check_problem(const LogisticProblem& problem) {
 }  // namespace
 
 double sigmoid(double z) {
-  const double e = std::exp(-std::abs(z));
-  // The numerator is picked by a bit mask, not a branch: the sign of z is
-  // a coin flip across a fit's rows.
-  const std::uint64_t one = 0 - static_cast<std::uint64_t>(z >= 0.0);
+  const double e = exp_nonpositive(-std::min(std::abs(z), kExpClamp));
+  // The numerator is picked by a mask of z's sign bit, not a branch: the
+  // sign of z is a coin flip across a fit's rows. (At -0.0, e is 1.0.)
+  const std::uint64_t negative =
+      0 - (std::bit_cast<std::uint64_t>(z) >> 63);
   const double num = std::bit_cast<double>(
-      (std::bit_cast<std::uint64_t>(1.0) & one) |
-      (std::bit_cast<std::uint64_t>(e) & ~one));
+      (std::bit_cast<std::uint64_t>(1.0) & ~negative) |
+      (std::bit_cast<std::uint64_t>(e) & negative));
   return num / (1.0 + e);
 }
 

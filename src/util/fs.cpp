@@ -143,35 +143,6 @@ void atomic_write_file(const std::string& path, std::string_view content) {
   fsync_directory(dir);
 }
 
-void rename_file(const std::string& from, const std::string& to) {
-  if (const int injected = consult(IoOp::Rename, to)) {
-    if (injected != EXDEV) throw_storage("rename_file: rename", to, injected);
-    // Injected EXDEV exercises the same cross-filesystem fallback as the
-    // real thing.
-    const std::optional<std::string> content = read_file(from);
-    if (!content) throw_storage("rename_file: source read", from, ENOENT);
-    atomic_write_file(to, *content);
-    remove_file(from);
-    return;
-  }
-  if (::rename(from.c_str(), to.c_str()) != 0) {
-    if (errno == EXDEV) {
-      // Cross-filesystem move: degrade to a copy that is still atomic at
-      // the destination, then drop the source.
-      const std::optional<std::string> content = read_file(from);
-      if (!content) throw_storage("rename_file: source read", from, ENOENT);
-      atomic_write_file(to, *content);
-      remove_file(from);
-      return;
-    }
-    throw_storage("rename_file: rename", to, errno);
-  }
-  fsync_directory(parent_dir(to));
-  // The source entry is gone from its own directory too; persist that so a
-  // power loss cannot resurrect the file under its old name.
-  fsync_directory(parent_dir(from));
-}
-
 bool remove_file_durable(const std::string& path) {
   if (const int injected = consult(IoOp::Unlink, path)) {
     throw_storage("remove_file_durable: unlink", path, injected);

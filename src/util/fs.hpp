@@ -32,11 +32,6 @@ void atomic_write_file(const std::string& path, std::string_view content);
 /// best effort there, but EINTR is retried, never surfaced as failure.
 bool fsync_directory(const std::string& dir);
 
-/// rename(2) + parent-directory fsync: atomically move `from` over `to`
-/// (same filesystem). Falls back to atomic_write_file(read_file(from)) +
-/// unlink on EXDEV. Throws util::StorageError on failure.
-void rename_file(const std::string& from, const std::string& to);
-
 /// Remove `path` and fsync its parent directory, so the removal also
 /// survives power loss (a durably discarded journal entry must not
 /// resurrect after a crash). Returns whether anything was removed; throws

@@ -14,6 +14,7 @@
 #include "analysis/model_comparison.hpp"
 #include "analysis/recommend.hpp"
 #include "analysis/speedup.hpp"
+#include "scratch_dir.hpp"
 #include "sim/executor.hpp"
 #include "store/reader.hpp"
 #include "sweep/harness.hpp"
@@ -334,8 +335,9 @@ TEST(Marginals, PooledRowsUseAllScope) {
 }
 
 TEST(Export, ViolinFigureWritesCsvAndScript) {
-  const std::string dir = ::testing::TempDir() + "omptune_export_violin";
-  const auto written = export_violin_figure(study_dataset(), "health", dir, 64);
+  const ScratchDir dir("export_violin");
+  const auto written =
+      export_violin_figure(study_dataset(), "health", dir.path(), 64);
   ASSERT_GE(written.size(), 4u);  // >= 3 groups + the gnuplot script
   EXPECT_NE(written.back().find("_violin.gp"), std::string::npos);
 
@@ -349,14 +351,14 @@ TEST(Export, ViolinFigureWritesCsvAndScript) {
     prev = value;
     EXPECT_GE(table.cell_as_double(i, "density"), 0.0);
   }
-  EXPECT_THROW(export_violin_figure(study_dataset(), "not_an_app", dir),
+  EXPECT_THROW(export_violin_figure(study_dataset(), "not_an_app", dir.path()),
                std::invalid_argument);
 }
 
 TEST(Export, HeatmapFigureRoundTrips) {
-  const std::string dir = ::testing::TempDir() + "omptune_export_heat";
+  const ScratchDir dir("export_heat");
   const auto map = influence_map(study_dataset(), Grouping::PerArchitecture);
-  const auto written = export_heatmap_figure(map, "fig3", dir);
+  const auto written = export_heatmap_figure(map, "fig3", dir.path());
   ASSERT_EQ(written.size(), 2u);
 
   const auto table = util::CsvTable::read_file(written.front());

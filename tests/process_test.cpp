@@ -220,17 +220,6 @@ TEST(Chaos, StickySubstrKillsOnEveryAttempt) {
 
 // ---- crash-safe fs helpers --------------------------------------------------
 
-TEST(Fs, RenameFileMovesAtomicallyAndDurably) {
-  ScratchDir dir("rename");
-  const std::string from = util::path_join(dir.path(), "from.csv");
-  const std::string to = util::path_join(dir.path(), "to.csv");
-  util::atomic_write_file(from, "payload");
-  util::atomic_write_file(to, "old");
-  util::rename_file(from, to);
-  EXPECT_FALSE(util::file_exists(from));
-  EXPECT_EQ(util::read_file(to).value(), "payload");
-}
-
 TEST(Fs, RemoveFileDurableRemovesAndReportsAbsence) {
   ScratchDir dir("unlink");
   const std::string path = util::path_join(dir.path(), "victim");
